@@ -57,7 +57,7 @@ module Legacy = struct
     mutable live : bool;
   }
 
-  let included ?(budget = Budget.unlimited) ?pool ?(subsumption = `Simulation)
+  let included ?(budget = Budget.unlimited) ?(subsumption = `Simulation)
       a b =
     if not (Alphabet.equal (Nfa.alphabet a) (Nfa.alphabet b)) then
       invalid_arg "Inclusion.included: alphabet mismatch";
@@ -174,11 +174,7 @@ module Legacy = struct
           Array.of_list
             (List.filter (fun n -> n.live) (Array.to_list frontier))
         in
-        let expanded =
-          match pool with
-          | Some p -> Pool.parmap p expand live
-          | None -> Array.map expand live
-        in
+        let expanded = Array.map expand live in
         Array.iteri
           (fun i n ->
             let sets = expanded.(i) in
@@ -454,7 +450,7 @@ let scaling_family ~jobs (name, subsumption, small, large) =
   let v_serial = !v_serial and v_jobs1 = !v_jobs1 in
   let before_ws = Stats.snapshot () in
   let t_ws, v_ws, big_nodes, steady =
-    Pool.with_pool ~jobs ~cutoff:0 (fun p ->
+    Pool.with_pool ~jobs (fun p ->
         let t_ws, v_ws =
           time_best_of 3 (fun () ->
               Inclusion.included ~pool:p ~subsumption la lb)

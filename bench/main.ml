@@ -910,8 +910,8 @@ let host_json () =
 let host_caveat () =
   if host_cores < 2 then
     Printf.printf
-      "NOTE: single-core host — the adaptive cutoff collapses the domain \
-       pool to serial, so parallel timings measure overhead, not speedup.\n"
+      "NOTE: single-core host — worker domains only time-slice one core, so \
+       the work-stealing scaling campaign measures overhead, not speedup.\n"
 
 let profile_json profiles =
   let record p =
@@ -959,181 +959,7 @@ let resource_profile () =
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Part 4: serial-vs-parallel wall-clock profile                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The domain pool (Rl_engine.Pool) fans the antichain inclusion frontier
-   and the rank-based complementation out across worker domains. Each
-   family below runs at --jobs 1 (no pool) and --jobs 4, timed by wall
-   clock (best of three), and the two verdicts must be identical — the
-   determinism contract is enforced here, not sampled. The ≥2x speedup
-   bar only arms on machines with ≥ 4 cores; on smaller machines the
-   numbers are still measured and recorded honestly, with the core count,
-   in BENCH_parallel.json at the repo root. *)
-
-module Pool = Rl_engine.Pool
-
-let par_jobs = 4
-let par_reps = 3
-
-let best_wall f =
-  let best = ref infinity and result = ref None in
-  for _ = 1 to par_reps do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    result := Some r
-  done;
-  (Option.get !result, !best)
-
-type par_row = {
-  family : string;
-  serial_s : float;
-  parallel_s : float;
-  par_speedup : float;
-  verdicts_equal : bool;
-}
-
-(* each family is (name, run): [run pool ()] returns a verdict string
-   that must not depend on the pool size *)
-let parallel_families () =
-  let rl_family name ts formula =
-    let alpha = Nfa.alphabet ts in
-    let p = Relative.ltl alpha (Parser.parse formula) in
-    let system = Buchi.of_transition_system ts in
-    let run pool () =
-      match Relative.is_relative_liveness ?pool ~system p with
-      | Ok () -> "holds"
-      | Error w -> Format.asprintf "fails, doomed prefix %a" (Word.pp alpha) w
-    in
-    (name, run)
-  in
-  let complement_family name n seed =
-    let rng = Rl_prelude.Prng.create seed in
-    let transitions = ref [] in
-    for q = 0 to n - 1 do
-      for a = 0 to 1 do
-        for q' = 0 to n - 1 do
-          if Rl_prelude.Prng.float rng < 0.4 then
-            transitions := (q, a, q') :: !transitions
-        done
-      done
-    done;
-    let b =
-      Buchi.create ~alphabet:Paper.ab ~states:n ~initial:[ 0 ]
-        ~accepting:[ n - 1 ] ~transitions:!transitions ()
-    in
-    let run pool () =
-      let c = Complement.complement ?pool b in
-      (* the digest pins the whole automaton: states, initial, accepting
-         and the transition list, in construction order *)
-      let repr =
-        ( Buchi.states c,
-          Buchi.initial c,
-          Rl_prelude.Bitset.elements (Buchi.accepting c),
-          Buchi.transitions c )
-      in
-      Printf.sprintf "%d states, digest %s" (Buchi.states c)
-        (Digest.to_hex (Digest.string (Marshal.to_string repr [])))
-    in
-    (name, run)
-  in
-  [
-    (* the ladder: recorded for reference, but the antichain collapses
-       this family to a handful of ⊆-minimal nodes (that is its headline
-       result), so there is next to nothing to parallelize — the speedup
-       bar is carried by the two families below *)
-    rl_family "antichain/ladder-12" (blowup_ts 12) "[]<> (a & X (b & X a))";
-    (* parallel modular counters, equal languages: the frontier walks the
-       lcm-sized cycle of position vectors *)
-    rl_family "antichain/counter-4290" (counter_ts [ 2; 3; 5; 11; 13 ]) "true";
-    (* Kupferman–Vardi rankings: the per-state successor enumeration is
-       the exponential part that the pool distributes *)
-    complement_family "complement/random-4" 4 23;
-  ]
-
-let parallel_json ~cores ~armed ~best rows =
-  let record r =
-    Printf.sprintf
-      "    {\"family\": \"%s\", \"serial_s\": %.6f, \"parallel_s\": %.6f, \
-       \"speedup\": %.3f, \"verdicts_equal\": %b}"
-      (json_escape r.family) r.serial_s r.parallel_s r.par_speedup
-      r.verdicts_equal
-  in
-  Printf.sprintf
-    "{\n\
-    \  \"host\": %s,\n\
-    \  \"jobs\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"speedup_bar_armed\": %b,\n\
-    \  \"best_speedup\": %.3f,\n\
-    \  \"families\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    (host_json ()) par_jobs cores armed best
-    (String.concat ",\n" (List.map record rows))
-
-let parallel_profile () =
-  header
-    (Printf.sprintf "PARALLEL PROFILE (wall clock, --jobs 1 vs --jobs %d)"
-       par_jobs);
-  let cores = Domain.recommended_domain_count () in
-  let rows =
-    List.map
-      (fun (family, run) ->
-        Printf.printf "timing %s ...\n%!" family;
-        let serial_verdict, serial_s = best_wall (run None) in
-        Printf.printf "  jobs=1: %.4f s\n%!" serial_s;
-        let parallel_verdict, parallel_s =
-          Pool.with_pool ~jobs:par_jobs (fun pool ->
-              best_wall (run (Some pool)))
-        in
-        let verdicts_equal = String.equal serial_verdict parallel_verdict in
-        if not verdicts_equal then begin
-          Printf.eprintf
-            "bench: parallel verdict mismatch on %s:\n\
-            \  jobs 1: %s\n\
-            \  jobs %d: %s\n"
-            family serial_verdict par_jobs parallel_verdict;
-          exit 1
-        end;
-        {
-          family;
-          serial_s;
-          parallel_s;
-          par_speedup = serial_s /. parallel_s;
-          verdicts_equal;
-        })
-      (parallel_families ())
-  in
-  Printf.printf "%-28s %12s %12s %9s\n" "family" "jobs=1"
-    (Printf.sprintf "jobs=%d" par_jobs)
-    "speedup";
-  List.iter
-    (fun r ->
-      Printf.printf "%-28s %10.4f s %10.4f s %8.2fx\n" r.family r.serial_s
-        r.parallel_s r.par_speedup)
-    rows;
-  let best = List.fold_left (fun acc r -> max acc r.par_speedup) 0. rows in
-  let armed = cores >= 4 in
-  Printf.printf "cores: %d — ≥2x speedup bar %s (best %.2fx)\n" cores
-    (if armed then "armed" else "recorded only")
-    best;
-  if armed && best < 2. then begin
-    Printf.eprintf
-      "bench: no parallel family reached the 2x speedup bar (best %.2fx)\n"
-      best;
-    exit 1
-  end;
-  let json = parallel_json ~cores ~armed ~best rows in
-  Out_channel.with_open_text "BENCH_parallel.json" (fun oc ->
-      output_string oc json);
-  Printf.printf "(written to BENCH_parallel.json)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Part 5: reduction on/off profile                                     *)
+(* Part 4: reduction on/off profile                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* The preorder engine (Rl_automata.Preorder) quotients every decider
@@ -1147,6 +973,18 @@ let parallel_profile () =
    what the ≥2x bar checks, so the bar arms on any machine. Verdicts must
    be identical between the two runs; a mismatch is a soundness bug and
    fails the bench. Written to BENCH_reduction.json at the repo root. *)
+
+(* wall clock of [f], best of three; the last run's result *)
+let best_wall f =
+  let best = ref infinity and result = ref None in
+  for _ = 1 to 3 do
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt < !best then best := dt;
+    result := Some r
+  done;
+  (Option.get !result, !best)
 
 (* [dup_ts k ts]: replace every state by [k] interchangeable copies (each
    copy keeps edges to every copy of each successor). The result is
@@ -1302,7 +1140,7 @@ let reduction_profile () =
   Printf.printf "(written to BENCH_reduction.json)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Part 6: lint pre-flight overhead profile                             *)
+(* Part 5: lint pre-flight overhead profile                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Every rlcheck decider now runs the shallow Rl_analysis.Lint passes as
@@ -1455,7 +1293,7 @@ let lint_profile () =
   Printf.printf "(written to BENCH_lint.json)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Part 7: incremental re-check profile                                 *)
+(* Part 6: incremental re-check profile                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* The daemon's incremental re-check, measured end to end through the
@@ -1601,16 +1439,6 @@ let () =
   let only_profile =
     Array.exists (String.equal "--only-profile") Sys.argv
   in
-  (* `--only-parallel` runs just the serial-vs-parallel wall-clock profile *)
-  let only_parallel =
-    Array.exists (String.equal "--only-parallel") Sys.argv
-  in
-  if only_parallel then begin
-    parallel_profile ();
-    line ();
-    print_endline "done.";
-    exit 0
-  end;
   (* `--only-reduction` runs just the preorder-quotient on/off profile *)
   let only_reduction =
     Array.exists (String.equal "--only-reduction") Sys.argv
@@ -1651,7 +1479,6 @@ let () =
     run_benchmarks ()
   end;
   resource_profile ();
-  parallel_profile ();
   reduction_profile ();
   lint_profile ();
   recheck_profile ();

@@ -119,13 +119,11 @@ let timeout_arg =
 let jobs_arg =
   let doc =
     "Worker domains for the parallel checking engine. The default 1 runs \
-     serially; $(docv) > 1 fans the antichain frontiers, complementation \
-     levels and independent sub-checks out across $(docv) domains; 0 means \
-     one domain per available core. Verdicts, witnesses and exit codes are \
-     identical for every value (phases that are inherently serial simply \
-     ignore the pool). Frontiers whose projected work is below the adaptive \
-     cutoff (env RLCHECK_PAR_CUTOFF, microseconds; 0 forces fan-out) run \
-     serially to avoid paying the fan-out overhead on trivial regions."
+     serially; $(docv) > 1 spawns $(docv) - 1 worker domains, whatever the \
+     host's core count, for the work-stealing antichain inclusion and the \
+     independent sub-checks; 0 means one domain per available core. \
+     Verdicts, witnesses and exit codes are identical for every value \
+     (phases that are inherently serial simply ignore the pool)."
   in
   let env = Cmd.Env.info "RLCHECK_JOBS" ~doc:"Default value for $(b,--jobs)." in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc ~env)
@@ -439,7 +437,7 @@ let run_decompose path formula_src max_states bound jobs no_lint =
       (fun () -> `Bool (Classify.is_safety b));
       (fun () -> `Bool (Classify.is_liveness ?pool b));
       (fun () ->
-        match Classify.decompose ?max_states ?pool b with
+        match Classify.decompose ?max_states b with
         | parts -> `Decomposition (Ok parts)
         | exception e -> `Decomposition (Error e));
     ]

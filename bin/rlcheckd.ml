@@ -61,7 +61,8 @@ let socket_arg =
 let jobs_arg =
   let doc =
     "Worker domains for the shared checking pool: 1 (default) runs \
-     serially, 0 means one domain per core."
+     serially, $(docv) > 1 spawns $(docv) - 1 workers whatever the core \
+     count, 0 means one domain per core."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 

@@ -29,19 +29,15 @@ module Stats = Rl_engine_kernel.Stats
    [`Subset]), and (q, S) is subsumed by (q', S') iff q' ∈ simulators(q)
    and S' ⊆ cover(S).
 
-   Two execution strategies share the preprocessing in [make_ctx]:
+   Two execution paths share the preprocessing in [make_ctx]:
 
    [run_serial] — the level-synchronous breadth-first search. Each round
    first scans the current frontier for witnesses (picking the
-   lexicographically least among the shortest), then computes every
-   frontier node's successor subsets and covers, and merges them into
-   the antichain in frontier order. Under a pool the expansion — the
-   expensive bitset unions — runs as a pure [Pool.parmap] and only the
-   merge is sequential; serially the two steps interleave per node,
-   which yields the same enqueue order and the same [Budget.tick]
-   sequence (ticks fire on accepted nodes only, and [poll] never trips a
-   pure state budget), hence identical verdict, witness and exhaustion
-   point for every pool size.
+   lexicographically least among the shortest), then expands the level's
+   live nodes in frontier order, computing each node's successor subsets
+   and covers and merging them into the antichain as it goes. The order
+   is fixed, so the verdict, the witness and the [Budget.tick] sequence
+   (hence the exhaustion point) are deterministic.
 
    [ws_run] — the work-stealing order-free search, used when a pool is
    present, the state budget is unlimited and the instance is large
@@ -158,7 +154,7 @@ let make_ctx ~subsumption a b =
 
 (* --- level-synchronous search (deterministic order) --------------- *)
 
-let run_serial ctx ~budget ~pool =
+let run_serial ctx ~budget =
   let {
     a;
     b;
@@ -336,7 +332,7 @@ let run_serial ctx ~budget ~pool =
   in
   (* post of one frontier node on letter [s] into scratch_set, then the
      cover, then enqueue every A-successor of the CSR slice *)
-  let expand_serial id =
+  let expand id =
     let q = Vec.get node_q id in
     let set_off = Vec.get node_set id * width in
     for s = 0 to k - 1 do
@@ -370,65 +366,6 @@ let run_serial ctx ~budget ~pool =
         done
       end
     done
-  in
-  (* worker-side expansion: pure up to [Budget.poll], allocates its own
-     result arrays (the parallel mode trades allocation for cores; the
-     merge below copies into the arena exactly as the serial path does) *)
-  let expand_par id =
-    Budget.poll budget;
-    let aw = Arena.words arena in
-    let q = Vec.get node_q id in
-    let set_off = Vec.get node_set id * width in
-    Array.init k (fun s ->
-        let lo = Csr.row_start csr_a q s and hi = Csr.row_stop csr_a q s in
-        if hi <= lo then None
-        else begin
-          let sw = Array.make width 0 in
-          for w = 0 to width - 1 do
-            let bits = ref (Array.unsafe_get aw (set_off + w)) in
-            if !bits <> 0 then begin
-              let base = w * isz in
-              let j = ref 0 in
-              while !bits <> 0 do
-                if !bits land 1 <> 0 then begin
-                  let row = Array.unsafe_get succ_w (((base + !j) * k) + s) in
-                  for v = 0 to width - 1 do
-                    Array.unsafe_set sw v
-                      (Array.unsafe_get sw v lor Array.unsafe_get row v)
-                  done
-                end;
-                bits := !bits lsr 1;
-                incr j
-              done
-            end
-          done;
-          let cw =
-            if not cover_distinct then sw
-            else begin
-              let cw = Array.make width 0 in
-              for w = 0 to width - 1 do
-                let bits = ref (Array.unsafe_get sw w) in
-                if !bits <> 0 then begin
-                  let base = w * isz in
-                  let j = ref 0 in
-                  while !bits <> 0 do
-                    if !bits land 1 <> 0 then begin
-                      let row = Array.unsafe_get cover_rows (base + !j) in
-                      for v = 0 to width - 1 do
-                        Array.unsafe_set cw v
-                          (Array.unsafe_get cw v lor Array.unsafe_get row v)
-                      done
-                    end;
-                    bits := !bits lsr 1;
-                    incr j
-                  done
-                end
-              done;
-              cw
-            end
-          in
-          Some (sw, cw)
-        end)
   in
   (* forward word of a node, rebuilt from the parent chain (initial
      nodes carry parent = letter = -1); only witness candidates pay *)
@@ -485,55 +422,19 @@ let run_serial ctx ~budget ~pool =
       done;
       if !best = None then begin
         (* freeze the level's live set before expanding anything: a node
-           evicted by an enqueue later in this same merge is still
+           evicted by an enqueue later in this same level is still
            expanded (its quarantined slices stay readable until the next
            [reclaim]) — the frontier membership a node earned at accept
-           time is not revoked mid-level, so the serial and pooled paths
-           expand exactly the same nodes *)
+           time is not revoked mid-level *)
         Vec.clear live_ids;
         for i = 0 to Vec.length front - 1 do
           let id = Vec.get front i in
           if Vec.get node_live id = 1 then Vec.push live_ids id
         done;
-        match pool with
-        | None ->
-            (* 2+3 interleaved: expansion feeds the merge node by node;
-               same enqueue order and tick sequence as the pooled path
-               ([poll] never trips a pure state budget) *)
-            for i = 0 to Vec.length live_ids - 1 do
-              Budget.poll budget;
-              expand_serial (Vec.get live_ids i)
-            done
-        | Some p when Pool.size p <= 1 ->
-            (* a size-1 pool has no workers: the parmap round-trip would
-               only add its per-node result allocation. The determinism
-               contract makes the interleaved path's results identical,
-               so take it *)
-            for i = 0 to Vec.length live_ids - 1 do
-              Budget.poll budget;
-              expand_serial (Vec.get live_ids i)
-            done
-        | Some p ->
-            (* 2. expansion: the parallel region *)
-            let ids = Vec.to_array live_ids in
-            let expanded = Pool.parmap p expand_par ids in
-            (* 3. merge, sequential and in frontier order *)
-            Array.iteri
-              (fun i id ->
-                let per_sym = expanded.(i) in
-                let q = Vec.get node_q id in
-                for s = 0 to k - 1 do
-                  match per_sym.(s) with
-                  | None -> ()
-                  | Some (sw, cw) ->
-                      let lo = Csr.row_start csr_a q s
-                      and hi = Csr.row_stop csr_a q s in
-                      for j = lo to hi - 1 do
-                        enqueue (Csr.target csr_a j) ~sw ~cw ~parent:id
-                          ~letter:s
-                      done
-                done)
-              ids
+        for i = 0 to Vec.length live_ids - 1 do
+          Budget.poll budget;
+          expand (Vec.get live_ids i)
+        done
       end
     done
   in
@@ -992,8 +893,8 @@ let included ?(budget = Budget.unlimited) ?pool ?(subsumption = `Simulation) a
           (* counterexample, exception or busy pool: replay the
              deterministic search for the canonical witness (or the
              identical exhaustion); verdicts stay jobs-invariant *)
-          run_serial ctx ~budget ~pool)
-  | None -> run_serial ctx ~budget ~pool
+          run_serial ctx ~budget)
+  | None -> run_serial ctx ~budget
 
 let equivalent ?budget ?pool ?subsumption a b =
   match included ?budget ?pool ?subsumption a b with

@@ -20,13 +20,14 @@
     {!Buchi.pre_language} results are stepped as contiguous array slices
     rather than re-walked transition lists.
 
-    The search is level-synchronous breadth-first. With [?pool], each
-    level's successor-subset computations — the expensive bitset unions —
-    fan out across the pool's domains as pure tasks, while all antichain
-    mutation, budget ticking and witness selection stay on the calling
-    domain in frontier order. Verdict, witness and budget-exhaustion
-    point are therefore identical for every pool size (at a fixed
-    subsumption mode; the two modes explore different node sets). *)
+    The search is level-synchronous breadth-first on the calling domain.
+    With a [?pool] of two or more members, an unlimited state budget and
+    a large enough instance, a work-stealing search across the pool's
+    domains runs first: when it proves inclusion it answers directly,
+    and any other outcome replays the serial search. Verdict, witness
+    and budget-exhaustion point are therefore identical for every pool
+    size (at a fixed subsumption mode; the two modes explore different
+    node sets). *)
 
 open Rl_sigma
 
@@ -38,8 +39,7 @@ type subsumption = [ `Subset | `Simulation ]
     symbol-index order) of the surviving frontier nodes — subsumption
     never discards a counterexample without keeping an equally short one.
     ε-moves are removed first; alphabets must be equal. The budget is
-    ticked once per explored (non-subsumed) pair, always on the calling
-    domain.
+    ticked once per explored (non-subsumed) pair.
     @raise Rl_engine_kernel.Budget.Exhausted when the budget runs out.
     @raise Invalid_argument on an alphabet mismatch. *)
 val included :

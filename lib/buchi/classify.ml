@@ -31,10 +31,9 @@ let universal_buchi alphabet =
     ~transitions:(List.init k (fun a -> (0, a, 0)))
     ()
 
-let liveness_part ?budget ?max_states ?pool b =
+let liveness_part ?budget ?max_states b =
   Buchi.union b
-    (Complement.complement ?budget ?max_states ?pool
-       (Omega_lang.safety_closure b))
+    (Complement.complement ?budget ?max_states (Omega_lang.safety_closure b))
 
-let decompose ?budget ?max_states ?pool b =
-  (Omega_lang.safety_closure b, liveness_part ?budget ?max_states ?pool b)
+let decompose ?budget ?max_states b =
+  (Omega_lang.safety_closure b, liveness_part ?budget ?max_states b)

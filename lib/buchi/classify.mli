@@ -35,7 +35,6 @@ val universal_buchi : Alphabet.t -> Buchi.t
 val liveness_part :
   ?budget:Rl_engine_kernel.Budget.t ->
   ?max_states:int ->
-  ?pool:Rl_engine_kernel.Pool.t ->
   Buchi.t ->
   Buchi.t
 
@@ -45,6 +44,5 @@ val liveness_part :
 val decompose :
   ?budget:Rl_engine_kernel.Budget.t ->
   ?max_states:int ->
-  ?pool:Rl_engine_kernel.Pool.t ->
   Buchi.t ->
   Buchi.t * Buchi.t

@@ -1,6 +1,5 @@
 open Rl_sigma
 module Budget = Rl_engine_kernel.Budget
-module Pool = Rl_engine_kernel.Pool
 
 (* Kupferman–Vardi rank-based complementation.
 
@@ -18,19 +17,15 @@ module Pool = Rl_engine_kernel.Pool
 
    The construction is level-synchronous: each round takes the frontier of
    freshly interned states, computes every state's compatible successor
-   rankings — the exponential enumeration, and the part worth
-   parallelizing — as a pure [Pool.parmap], then interns the results
-   sequentially on the calling domain, in frontier order, symbol by
-   symbol. That intern order equals the FIFO order of the serial worklist
-   it replaced, so state numbering, transition list, accepting set and the
-   point at which [Too_large] or the budget trips are all bit-identical to
-   the serial construction, for every pool size. *)
+   rankings, then interns the results in frontier order, symbol by
+   symbol — the FIFO order of a plain worklist, which fixes the state
+   numbering and the point at which [Too_large] or the budget trips. *)
 
 type key = int array * int list
 
 exception Too_large of int
 
-let complement ?(budget = Budget.unlimited) ?max_states ?pool b =
+let complement ?(budget = Budget.unlimited) ?max_states b =
   let n = Buchi.states b in
   let alphabet = Buchi.alphabet b in
   let k = Alphabet.size alphabet in
@@ -71,11 +66,10 @@ let complement ?(budget = Budget.unlimited) ?max_states ?pool b =
           (id, true)
     in
     (* All successor keys of (g, o) on symbol [a], in enumeration order.
-       Pure up to [Budget.poll]: runs on worker domains. [bound] and
-       [o_succ] are caller-provided scratch, refilled here — the serial
-       path reuses one pair across the whole construction, workers carry
-       their own (the arrays escape into neither result nor table). *)
-    let successor_keys ~bound ~o_succ (g, o) a =
+       [bound] and [o_succ] are scratch reused across the whole
+       construction, refilled here. *)
+    let bound = Array.make n (-1) and o_succ = Array.make n false in
+    let successor_keys (g, o) a =
       (* Rank bound for each successor state: min over its ranked
          predecessors. -1 means "not a successor" (stays ⊥). *)
       Array.fill bound 0 n (-1);
@@ -132,9 +126,9 @@ let complement ?(budget = Budget.unlimited) ?max_states ?pool b =
       enumerate [] !dom;
       List.rev !acc
     in
-    let expand_with ~bound ~o_succ key =
+    let expand key =
       Budget.poll budget;
-      Array.init k (fun a -> successor_keys ~bound ~o_succ key a)
+      Array.init k (successor_keys key)
     in
     let initial_set = Rl_prelude.Bitset.of_list n (Buchi.initial b) in
     let init_ranks =
@@ -154,18 +148,7 @@ let complement ?(budget = Budget.unlimited) ?max_states ?pool b =
     while !frontier <> [] do
       let keys = Array.of_list (List.rev !frontier) in
       frontier := [];
-      let expanded =
-        match pool with
-        | Some p ->
-            Pool.parmap p
-              (fun key ->
-                expand_with ~bound:(Array.make n (-1))
-                  ~o_succ:(Array.make n false) key)
-              keys
-        | None ->
-            let bound = Array.make n (-1) and o_succ = Array.make n false in
-            Array.map (expand_with ~bound ~o_succ) keys
-      in
+      let expanded = Array.map expand keys in
       (* Intern sequentially, in frontier order: FIFO worklist order. *)
       Array.iteri
         (fun i key ->

@@ -9,29 +9,21 @@
     is [O((2n)^n)], so this is for small automata — which is exactly how the
     PSPACE-completeness of Theorem 4.5 manifests operationally.
 
-    The construction is level-synchronous: with [?pool], the exponential
-    successor-ranking enumeration of each frontier state runs as a pure
-    task across the pool's domains, while interning, transition
-    recording, budget ticking and the [Too_large] cap all stay on the
-    calling domain in FIFO frontier order — the output automaton is
-    bit-identical for every pool size. *)
+    The construction is level-synchronous and interns new states in FIFO
+    frontier order, so the output automaton is deterministic. *)
 
 exception Too_large of int
 (** Raised when [~max_states] is exceeded; carries the limit. *)
 
-(** [complement ?budget ?max_states ?pool b] accepts [Σ^ω \ L(b)].
-    @param budget ticked once per constructed ranking state, always on
-    the calling domain; {!Rl_engine_kernel.Budget.Exhausted} is raised
+(** [complement ?budget ?max_states b] accepts [Σ^ω \ L(b)].
+    @param budget ticked once per constructed ranking state; {!Rl_engine_kernel.Budget.Exhausted} is raised
     when it runs out.
     @param max_states abort with {!Too_large} when the construction
     exceeds this many states (default: unbounded). Useful for callers
     that can fall back or skip — the state space is exponential by
-    nature.
-    @param pool fan the per-state ranking enumeration out across worker
-    domains. *)
+    nature. *)
 val complement :
   ?budget:Rl_engine_kernel.Budget.t ->
   ?max_states:int ->
-  ?pool:Rl_engine_kernel.Pool.t ->
   Buchi.t ->
   Buchi.t

@@ -20,12 +20,12 @@ let property_buchi ?budget alphabet = function
       b
   | Ltl { formula; labeling } -> Translate.to_buchi ~alphabet ~labeling formula
 
-let property_neg_buchi ?budget ?pool ?(reduce = true) alphabet = function
+let property_neg_buchi ?budget ?(reduce = true) alphabet = function
   | Auto b ->
       (* complementation is exponential: shrink the input first *)
       let b = Buchi.trim b in
       let b = if reduce then Reduce.quotient b else b in
-      Complement.complement ?budget ?pool b
+      Complement.complement ?budget b
   | Ltl { formula; labeling } ->
       Translate.to_buchi_neg ~alphabet ~labeling formula
 
@@ -44,10 +44,10 @@ let reduce_buchi reduce b = if reduce then Reduce.quotient (Buchi.trim b) else b
 let reduce_nfa reduce n = if reduce then Preorder.reduce n else n
 let subsumption_of reduce = if reduce then `Simulation else `Subset
 
-let satisfies ?(budget = Budget.unlimited) ?pool ~system p =
+let satisfies ?(budget = Budget.unlimited) ~system p =
   let neg =
     Budget.with_phase budget "complement property" (fun () ->
-        property_neg_buchi ~budget ?pool (Buchi.alphabet system) p)
+        property_neg_buchi ~budget (Buchi.alphabet system) p)
   in
   let prod =
     Budget.with_phase budget "product Lω ∩ ¬P" (fun () ->
@@ -82,7 +82,7 @@ let is_relative_liveness ?(budget = Budget.unlimited) ?pool ?(reduce = true)
       Inclusion.included ~budget ?pool ~subsumption:(subsumption_of reduce)
         pre_l pre_lp)
 
-let is_relative_safety ?(budget = Budget.unlimited) ?pool ?(reduce = true)
+let is_relative_safety ?(budget = Budget.unlimited) ?(reduce = true)
     ~system p =
   let pb =
     Budget.with_phase budget "translate property" (fun () ->
@@ -92,7 +92,7 @@ let is_relative_safety ?(budget = Budget.unlimited) ?pool ?(reduce = true)
   let sys = reduce_buchi reduce system in
   let neg =
     Budget.with_phase budget "complement property" (fun () ->
-        property_neg_buchi ~budget ?pool ~reduce (Buchi.alphabet system) p)
+        property_neg_buchi ~budget ~reduce (Buchi.alphabet system) p)
   in
   let closure =
     Budget.with_phase budget "limit closure lim(pre(Lω ∩ P))" (fun () ->

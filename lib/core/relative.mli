@@ -47,7 +47,6 @@ val property_buchi :
     simulation quotient before complementing. *)
 val property_neg_buchi :
   ?budget:Rl_engine_kernel.Budget.t ->
-  ?pool:Rl_engine_kernel.Pool.t ->
   ?reduce:bool ->
   Alphabet.t ->
   property ->
@@ -59,7 +58,6 @@ val property_neg_buchi :
     (Definition 3.2). [Error x] is a counterexample behavior. *)
 val satisfies :
   ?budget:Rl_engine_kernel.Budget.t ->
-  ?pool:Rl_engine_kernel.Pool.t ->
   system:Buchi.t ->
   property ->
   (unit, Lasso.t) result
@@ -84,7 +82,6 @@ val is_relative_liveness :
     towards [P] — the failure of relative safety. *)
 val is_relative_safety :
   ?budget:Rl_engine_kernel.Budget.t ->
-  ?pool:Rl_engine_kernel.Pool.t ->
   ?reduce:bool ->
   system:Buchi.t ->
   property ->

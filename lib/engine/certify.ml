@@ -85,11 +85,11 @@ type triple = { sat : bool; rl : bool; rs : bool }
 let verdict_triple ?budget ?pool ~system p =
   let legs =
     [
-      (fun () -> Result.is_ok (Relative.satisfies ?budget ?pool ~system p));
+      (fun () -> Result.is_ok (Relative.satisfies ?budget ~system p));
       (fun () ->
         Result.is_ok (Relative.is_relative_liveness ?budget ?pool ~system p));
       (fun () ->
-        Result.is_ok (Relative.is_relative_safety ?budget ?pool ~system p));
+        Result.is_ok (Relative.is_relative_safety ?budget ~system p));
     ]
   in
   match

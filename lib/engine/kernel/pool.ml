@@ -1,27 +1,17 @@
 (* A fixed-size pool of long-lived domains.
 
-   Spawning a domain costs far more than the work items we hand out, so the
-   pool spawns its [size - 1] workers once and parks them on a condition
-   variable. Each parallel region ([parmap]/[parfan]) publishes one job —
-   a closure every member runs to completion — bumps an epoch, wakes the
-   workers, and participates itself as member 0. Inside the job, members
-   claim chunks of the index space from a shared atomic cursor, which is
-   the work-stealing: fast members claim more chunks.
+   Spawning a domain costs far more than a region's setup, so the pool
+   spawns its [size - 1] workers once and parks them on a condition
+   variable. Each parallel region ([parfan]/[run_members]) publishes one
+   job — a closure every member runs to completion — bumps an epoch,
+   wakes the workers, and participates itself as member 0. Inside a
+   [parfan] job, members claim thunks from a shared atomic cursor, so
+   fast members take more of them.
 
    Determinism is the callers' contract, made easy by the API shape:
-   [parmap] returns results positionally, so as long as the job closures
-   are pure (all shared-state mutation stays on the calling domain), the
-   result is independent of the schedule.
-
-   Waking the workers costs tens of microseconds per region; on frontiers
-   whose whole expansion is cheaper than that, parallelism is a pure
-   slowdown (and on a single-core host it always is). [parmap] therefore
-   carries an adaptive cutoff: it runs the first couple of items serially,
-   projects the region's total serial cost from their timing, and only
-   fans the remainder out when the projection clears the threshold.
-   Because results are positional and the probe items are the lowest
-   indices, the observable output — including which exception surfaces —
-   is the same either way.
+   [parfan] returns results positionally, so as long as the thunks keep
+   their shared-state mutation deterministic, the result is independent
+   of the schedule.
 
    Worker death. A long-running service cannot assume the workers are
    immortal: a job closure with a bug (or the injected
@@ -35,9 +25,9 @@
      dead, decrements [alive], and lets its domain terminate. Future
      regions simply fan out across the survivors ([run_job] sizes the
      barrier by [alive], not by the original worker count).
-   - [run_parallel] repairs the barrier's results: slots a dead worker
-     claimed but never filled are recomputed serially by the caller, so
-     the region's output is byte-identical to the fault-free run.
+   - [run_parallel] repairs the barrier's results: thunks a dead worker
+     claimed but never ran are re-run serially by the caller, so the
+     region's output is byte-identical to the fault-free run.
    - [heal] respawns dead workers between regions; a pool that cannot be
      healed keeps degrading gracefully — with zero live workers every
      region runs serially on the caller, which is the documented floor of
@@ -47,10 +37,6 @@ type worker = { mutable domain : unit Domain.t option; mutable dead : bool }
 
 type t = {
   size : int;
-  cutoff : int;
-      (* adaptive-cutoff threshold in µs of projected serial work below
-         which [parmap] stays serial; [0] = always parallel, [max_int] =
-         never parallel (the default on single-core hosts) *)
   workers : worker array;
   mutable alive : int; (* spawned workers still serving *)
   mutable deaths : int; (* workers lost since creation (cumulative) *)
@@ -69,19 +55,6 @@ type t = {
 }
 
 let recommended () = Domain.recommended_domain_count ()
-
-let default_cutoff () =
-  match Sys.getenv_opt "RLCHECK_PAR_CUTOFF" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v >= 0 -> v
-      | _ ->
-          invalid_arg
-            "RLCHECK_PAR_CUTOFF must be a non-negative integer (microseconds \
-             of projected serial work)")
-  | None ->
-      (* with a single hardware thread, fanning out never pays *)
-      if recommended () < 2 then max_int else 1_000
 
 (* [start_epoch] is [pool.epoch] at spawn time: a worker respawned by
    [heal] must not mistake the regions it missed for a pending job. *)
@@ -144,21 +117,11 @@ let worker_loop pool me start_epoch =
     end
   done
 
-let create ?(jobs = 1) ?cutoff () =
-  let size = if jobs <= 0 then recommended () else jobs in
-  let size = max 1 size in
-  let cutoff =
-    match cutoff with Some c -> max 0 c | None -> default_cutoff ()
-  in
-  (* A cutoff of max_int means no region will ever fan out, so spawn no
-     workers at all: even parked domains tax every minor collection with
-     a stop-the-world rendezvous, which is measurable on allocation-heavy
-     checks (and ruinous on a single-core host). *)
-  let size = if cutoff = max_int then 1 else size in
+let create ?(jobs = 1) () =
+  let size = max 1 (if jobs <= 0 then recommended () else jobs) in
   let pool =
     {
       size;
-      cutoff;
       workers = Array.init (size - 1) (fun _ -> { domain = None; dead = false });
       alive = 0;
       deaths = 0;
@@ -181,7 +144,6 @@ let create ?(jobs = 1) ?cutoff () =
   pool
 
 let size pool = pool.size
-let cutoff pool = pool.cutoff
 
 let alive pool =
   Mutex.lock pool.mutex;
@@ -226,7 +188,7 @@ let heal pool =
 (* Region-safe healing for a pool shared across service handler threads:
    [heal] alone must not run while another thread's parallel region is in
    flight, so this claims the region slot first. While we hold [busy],
-   concurrent [parmap]s lose the CAS and run inline serially — correct
+   concurrent regions lose the CAS and run inline serially — correct
    either way. Returns [false] when the slot is taken; the caller just
    tries again after its next batch. *)
 let try_heal pool =
@@ -254,8 +216,8 @@ let shutdown pool =
       pool.workers
   end
 
-let with_pool ?jobs ?cutoff f =
-  let pool = create ?jobs ?cutoff () in
+let with_pool ?jobs f =
+  let pool = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
 (* Run [f] once on every live member of the pool (the caller included) and
@@ -279,38 +241,31 @@ let run_job pool f =
   pool.job <- None;
   Mutex.unlock pool.mutex
 
-(* Map items [start, n) across the pool, items [0, start) having already
-   been computed into [results] by the caller. The caller holds
+(* Run [thunks] across the pool, results in input order. The caller holds
    [pool.busy]. *)
-let run_parallel (type a b) pool (f : a -> b) (xs : a array)
-    (results : b option array) start : b array =
-  let n = Array.length xs in
+let run_parallel (type a) pool (thunks : (unit -> a) array) : a array =
+  let n = Array.length thunks in
+  let results : a option array = Array.make n None in
   let failures : exn option array = Array.make n None in
   let failed = Atomic.make false in
-  let cursor = Atomic.make start in
-  (* Small chunks so fast members steal work from slow ones, but not so
-     small that the cursor becomes a contention point. *)
-  let chunk = max 1 ((n - start) / (pool.size * 8)) in
+  let cursor = Atomic.make 0 in
   let body _member =
     let continue = ref true in
     while !continue do
       if Atomic.get failed then continue := false
       else begin
-        let start = Atomic.fetch_and_add cursor chunk in
-        if start >= n then continue := false
+        let j = Atomic.fetch_and_add cursor 1 in
+        if j >= n then continue := false
         else begin
-          (* the mid-map death probe: a worker that dies *here* has
-             claimed [start, start+chunk) and will fill none of it — the
-             repair pass below recomputes the orphaned slots *)
+          (* the mid-region death probe: a worker that dies *here* has
+             claimed thunk [j] and will not fill it — the repair pass
+             below recomputes the orphaned slot *)
           if Fault.armed () then Fault.fire Fault.Pool_domain_death;
-          for j = start to min n (start + chunk) - 1 do
-            if not (Atomic.get failed) then (
-              match f xs.(j) with
-              | v -> results.(j) <- Some v
-              | exception e ->
-                  failures.(j) <- Some e;
-                  Atomic.set failed true)
-          done
+          match thunks.(j) () with
+          | v -> results.(j) <- Some v
+          | exception e ->
+              failures.(j) <- Some e;
+              Atomic.set failed true
         end
       end
     done
@@ -318,11 +273,16 @@ let run_parallel (type a b) pool (f : a -> b) (xs : a array)
   run_job pool body;
   (* run_job is a barrier: all writes above happen-before this point. *)
   if Atomic.get failed then begin
-    let first = ref None in
+    let first = ref n in
     for j = n - 1 downto 0 do
-      match failures.(j) with Some e -> first := Some e | None -> ()
+      if Option.is_some failures.(j) then first := j
     done;
-    match !first with Some e -> raise e | None -> assert false
+    (* thunks below the least recorded failure that never ran could raise
+       first in a serial run: run them now, in order *)
+    for j = 0 to !first - 1 do
+      if results.(j) = None then ignore (thunks.(j) ())
+    done;
+    match failures.(!first) with Some e -> raise e | None -> assert false
   end
   else begin
     (* Repair the barrier: any slot a dead worker (or a caller whose
@@ -330,14 +290,14 @@ let run_parallel (type a b) pool (f : a -> b) (xs : a array)
        recomputed here, serially — the region's output is independent of
        whether and when workers died. *)
     for j = 0 to n - 1 do
-      if results.(j) = None then results.(j) <- Some (f xs.(j))
+      if results.(j) = None then results.(j) <- Some (thunks.(j) ())
     done;
     Array.map (function Some v -> v | None -> assert false) results
   end
 
 (* Hand the raw membership to a caller-supplied scheduler: [body member]
    runs once on every live member, member 0 being the caller. This is
-   the work-stealing engine's entry point — unlike [parmap] there is no
+   the work-stealing engine's entry point — unlike [parfan] there is no
    index space and no repair pass, so the body must tolerate members
    that die mid-job (the barrier itself always completes) and must
    catch its own exceptions (a caller-side raise is swallowed by
@@ -354,52 +314,13 @@ let run_members pool body =
     true
   end
 
-(* The raw fan-out, no cutoff: used by [parfan], whose few thunks are
-   whole independent sub-checks — probing the first one serially would
-   serialize an entire leg. *)
-let parmap_raw (type a b) pool (f : a -> b) (xs : a array) : b array =
-  let n = Array.length xs in
-  if
-    n <= 1 || pool.size = 1
-    || not (Atomic.compare_and_set pool.busy false true)
-  then Array.map f xs (* serial pool, tiny input, or nested region *)
-  else
-    Fun.protect ~finally:(fun () -> Atomic.set pool.busy false) @@ fun () ->
-    run_parallel pool f xs (Array.make n None) 0
-
-let parmap_array (type a b) pool (f : a -> b) (xs : a array) : b array =
-  let n = Array.length xs in
-  if n <= 1 || pool.size = 1 || pool.cutoff = max_int then Array.map f xs
-  else if pool.cutoff = 0 then parmap_raw pool f xs
-  else begin
-    (* probe: time a serial prefix and project the whole region's cost *)
-    let results : b option array = Array.make n None in
-    let k = min n 2 in
-    let t0 = Unix.gettimeofday () in
-    for j = 0 to k - 1 do
-      results.(j) <- Some (f xs.(j))
-    done;
-    let elapsed_us = (Unix.gettimeofday () -. t0) *. 1e6 in
-    let projected = elapsed_us /. float_of_int k *. float_of_int n in
-    if
-      projected < float_of_int pool.cutoff
-      || not (Atomic.compare_and_set pool.busy false true)
-    then begin
-      (* below the cutoff (or nested region): finish serially *)
-      for j = k to n - 1 do
-        results.(j) <- Some (f xs.(j))
-      done;
-      Array.map (function Some v -> v | None -> assert false) results
-    end
-    else
-      Fun.protect ~finally:(fun () -> Atomic.set pool.busy false) @@ fun () ->
-      run_parallel pool f xs results k
-  end
-
-let parmap pool f xs = parmap_array pool f xs
-
+(* Independent thunks are whole sub-checks, so the fan-out is
+   unconditional; fewer than two thunks, a serial pool or a nested region
+   run inline. *)
 let parfan pool thunks =
   match thunks with
-  | [] -> []
-  | [ th ] -> [ th () ]
-  | _ -> Array.to_list (parmap_raw pool (fun th -> th ()) (Array.of_list thunks))
+  | _ :: _ :: _
+    when pool.size > 1 && Atomic.compare_and_set pool.busy false true ->
+      Fun.protect ~finally:(fun () -> Atomic.set pool.busy false) @@ fun () ->
+      Array.to_list (run_parallel pool (Array.of_list thunks))
+  | _ -> List.map (fun th -> th ()) thunks

@@ -1,59 +1,39 @@
 (** A fixed-size pool of worker domains for the parallel checking engine.
 
-    The PSPACE deciders spend their time in embarrassingly parallel
-    inner steps — expanding an antichain frontier, enumerating the rank
-    successors of a complementation level, running the independent legs of
-    a Theorem 4.7 full verdict. This pool runs those steps across
-    [Domain]s while keeping every {e observable} result deterministic.
+    The PSPACE deciders run two kinds of parallel region on it: the
+    work-stealing antichain inclusion search ({!run_members}), and the
+    independent legs of a full verdict ({!parfan}) — for instance the
+    three Theorem 4.7 checks. Every {e observable} result stays
+    deterministic.
 
     {2 Shape}
 
     A pool of size [n] owns [n - 1] long-lived worker domains (size 1 owns
     none and runs everything inline). A parallel region hands every member
-    — the calling domain included — one job closure; inside it, members
-    claim chunks of the index space from a shared atomic cursor, so fast
-    members steal work from slow ones. Between regions the workers sleep
+    — the calling domain included — one job closure; inside a {!parfan}
+    region, members claim thunks from a shared atomic cursor, so fast
+    members take work from slow ones. Between regions the workers sleep
     on a condition variable.
 
     {2 Determinism contract}
 
-    {!parmap} returns results positionally: [parmap p f xs] is
-    extensionally [Array.map f xs] whenever [f] is pure. The deciders
-    built on it keep all shared-state mutation (antichain insertion,
-    state interning, budget ticking, witness selection) on the calling
-    domain in a fixed order, so verdicts, witnesses and exit codes are
-    byte-identical for every [--jobs] value. Nested parallel regions —
-    a task that calls back into its own pool — run inline serially, which
+    {!parfan} returns results positionally: [parfan p thunks] is
+    extensionally [List.map (fun th -> th ()) thunks] whenever the thunks
+    are deterministic. The work-stealing search answers directly only
+    when its verdict is schedule-independent and otherwise replays the
+    serial search, so verdicts, witnesses and exit codes are
+    byte-identical for every [--jobs] value. Nested parallel regions — a
+    task that calls back into its own pool — run inline serially, which
     both preserves that contract and makes deadlock impossible.
-
-    {2 Adaptive serial cutoff}
-
-    Waking the workers costs tens of microseconds per region, so a
-    frontier whose whole expansion is cheaper than that runs {e slower}
-    under [--jobs N] than serially. {!parmap} therefore probes: it runs
-    the first couple of items on the calling domain, projects the
-    region's total serial cost from their timing, and fans the remainder
-    out only when the projection reaches the pool's cutoff (µs). Since
-    results are positional and the probe covers the lowest indices, the
-    observable output — values and which exception surfaces — is
-    unchanged either way. A cutoff of [0] disables the probe (always
-    parallel); [max_int] makes the pool fully serial — it spawns no
-    workers at all, since even parked domains tax every minor collection
-    with a stop-the-world rendezvous. The default is read from the
-    [RLCHECK_PAR_CUTOFF] environment variable (microseconds), falling
-    back to [1_000] µs — or to [max_int] when the host reports a single
-    hardware thread, where fan-out never pays. {!parfan} is exempt from
-    the probe: its thunks are whole independent sub-checks, and probing
-    the first serially would serialize an entire leg.
 
     {2 Worker death and healing}
 
     A worker whose job closure raises — a defect, or the injected
     {!Fault.Pool_domain_death} — retires: it decrements the region's
     barrier {e first} (the joining caller never deadlocks), marks its
-    slot dead, and lets its domain exit. The region's results stay
-    byte-identical to the fault-free run: slots the dead worker claimed
-    but never filled are recomputed serially by the caller. Later
+    slot dead, and lets its domain exit. A {!parfan} region's results stay
+    byte-identical to the fault-free run: thunks the dead worker claimed
+    but never ran are re-run serially by the caller. Later
     regions fan out across the survivors; with zero survivors every
     region runs serially on the caller — the floor of the service's
     degradation ladder. {!heal} respawns dead workers between regions,
@@ -61,21 +41,14 @@
 
 type t
 
-(** [create ?jobs ?cutoff ()] is a pool of [jobs] members ([jobs - 1]
-    spawned domains plus the caller). [jobs <= 0] means
-    [Domain.recommended_domain_count ()]; the default is [1], a serial
-    pool with no spawned domains. [cutoff] overrides the adaptive serial
-    cutoff in µs of projected work ([0] = always parallel, [max_int] =
-    a fully serial pool regardless of [jobs]); it defaults to
-    [RLCHECK_PAR_CUTOFF] when set, else [1_000] µs on multicore hosts
-    and [max_int] on single-core ones. *)
-val create : ?jobs:int -> ?cutoff:int -> unit -> t
+(** [create ?jobs ()] is a pool of [jobs] members ([jobs - 1] spawned
+    domains plus the caller), whatever the host's core count. [jobs <= 0]
+    means [Domain.recommended_domain_count ()]; the default is [1], a
+    serial pool with no spawned domains. *)
+val create : ?jobs:int -> unit -> t
 
 (** The number of members, caller included; [1] means serial. *)
 val size : t -> int
-
-(** The pool's adaptive serial cutoff in µs of projected work. *)
-val cutoff : t -> int
 
 (** [Domain.recommended_domain_count ()] — the meaning of [--jobs 0]. *)
 val recommended : unit -> int
@@ -111,18 +84,9 @@ val try_heal : t -> bool
     Idempotent. A pool must not be used after shutdown. *)
 val shutdown : t -> unit
 
-(** [with_pool ?jobs ?cutoff f] runs [f] on a fresh pool and shuts it
-    down afterwards, also on exceptions. *)
-val with_pool : ?jobs:int -> ?cutoff:int -> (t -> 'a) -> 'a
-
-(** [parmap p f xs] maps [f] over [xs] on all members of [p] and returns
-    the results in input order. If any application raises, the region
-    stops handing out further work, waits for the in-flight chunks, and
-    re-raises the recorded exception of least index — the same exception
-    a serial left-to-right map would have surfaced first whenever [f]'s
-    failures are deterministic. Safe to call from inside a pool task
-    (runs inline serially). *)
-val parmap : t -> ('a -> 'b) -> 'a array -> 'b array
+(** [with_pool ?jobs f] runs [f] on a fresh pool and shuts it down
+    afterwards, also on exceptions. *)
+val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 
 (** [run_members p body] claims the pool's region slot and runs
     [body member] once on every live member — the caller as member [0],
@@ -140,7 +104,12 @@ val parmap : t -> ('a -> 'b) -> 'a array -> 'b array
 val run_members : t -> (int -> unit) -> bool
 
 (** [parfan p thunks] runs independent sub-checks concurrently and
-    returns their results in order; exceptions behave as in {!parmap}.
-    Thunks that must not be abandoned on a sibling's failure should
-    return a [result] instead of raising. *)
+    returns their results in order. If any thunk raises, the region stops
+    handing out further thunks, waits for the in-flight ones, runs any
+    skipped thunk below the least failing index, and re-raises the
+    exception a serial left-to-right run would have surfaced first
+    whenever the thunks are deterministic. Thunks that must not be
+    abandoned on a sibling's failure should return a [result] instead of
+    raising. Safe to call from inside a pool task (runs inline
+    serially). *)
 val parfan : t -> (unit -> 'a) list -> 'a list

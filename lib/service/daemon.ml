@@ -212,7 +212,7 @@ let heal_pool d =
   | None -> ()
   | Some p -> (
       (* [try_heal], not [heal]: batches on other connections may be on
-         the pool right now, and healing must not overlap a parmap
+         the pool right now, and healing must not overlap a parallel
          region. A lost claim just means the next finishing batch
          retries. *)
       match Pool.try_heal p with
@@ -261,6 +261,13 @@ let run_batch d ~deadline_s jobs =
               }
               ~started:false
         | _ -> (
+            (* handlers and batch threads share one domain's runtime
+               lock: drop it for a moment between jobs, so a control op
+               read on this or any connection is answered within one job
+               rather than behind the whole batch. A zero delay releases
+               the lock and contends for it again; [Thread.yield] hands
+               it to a waiting thread far less reliably. *)
+            Thread.delay 0.;
             bump d (fun c -> c.jobs_run <- c.jobs_run + 1);
             (* the budget is created out here so the watchdog holds a
                handle: on deadline it cancels it, and a cooperative body

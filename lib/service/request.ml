@@ -188,8 +188,8 @@ let maybe_corrupt text =
 
 (* Parse the job's model to an untrimmed system plus its parse-time
    diagnostics. Transition-system sources go through the cache (keyed on
-   a digest of the source text); Petri-net files bypass it — their
-   reachability exploration must tick this request's budget. *)
+   a digest of the path and the source text); Petri-net files bypass
+   it — their reachability exploration must tick this request's budget. *)
 let load_model ?cache ~budget job =
   match job.model with
   | File path when Filename.check_suffix path ".pn" ->
@@ -215,9 +215,9 @@ let load_model ?cache ~budget job =
   | File path ->
       Result.bind (read_file path) (fun text ->
           let text = maybe_corrupt text in
-          let key =
-            Digest.to_hex (Digest.string text)
-          in
+          (* the cached diagnostics carry [path]: two files with equal
+             text must not share an entry *)
+          let key = Digest.to_hex (Digest.string (path ^ "\x00" ^ text)) in
           let cached =
             match cache with
             | None -> None
@@ -401,7 +401,7 @@ let decide ?pool ~budget ~fresh job f ts =
   let p = Relative.ltl alpha f in
   match job.kind with
   | Sat -> (
-      match Relative.satisfies ~budget ?pool ~system p with
+      match Relative.satisfies ~budget ~system p with
       | Ok () ->
           `Holds
             (Format.asprintf "SATISFIED: every behavior satisfies %a"
@@ -431,7 +431,7 @@ let decide ?pool ~budget ~fresh job f ts =
               `Fails
                 (Printf.sprintf "NOT RELATIVE LIVENESS: doomed prefix %s" ws, ws)))
   | Rs -> (
-      match Relative.is_relative_safety ~budget ?pool ~system p with
+      match Relative.is_relative_safety ~budget ~system p with
       | Ok () -> `Holds "RELATIVE SAFETY: violations are irredeemable"
       | Error x -> (
           match Certify.counterexample ~system p x with

@@ -17,75 +17,51 @@ let jobs =
   | Some s -> ( match int_of_string_opt s with Some n when n > 1 -> n | _ -> 4)
   | None -> 4
 
-(* cutoff 0: always fan out. The adaptive serial cutoff would otherwise
-   keep these tiny test workloads on the calling domain (on single-core
-   hosts it always would), and the whole point here is to genuinely
-   exercise the multi-domain code paths. *)
-let with_pool f = Pool.with_pool ~jobs ~cutoff:0 f
+let with_pool f = Pool.with_pool ~jobs f
 
-(* --- parmap / parfan --- *)
+(* [fan pool f xs] is [Array.map f xs] run as one [parfan] region over a
+   thunk per item *)
+let fan pool f xs =
+  Array.to_list xs
+  |> List.map (fun x () -> f x)
+  |> Pool.parfan pool |> Array.of_list
 
-let test_parmap_matches_map () =
+(* --- parfan --- *)
+
+let test_parfan_matches_map () =
   with_pool @@ fun pool ->
   let xs = Array.init 1000 Fun.id in
   let f x = (x * x) + 1 in
   Alcotest.(check (array int)) "positional results" (Array.map f xs)
-    (Pool.parmap pool f xs);
-  Alcotest.(check (array int)) "empty input" [||] (Pool.parmap pool f [||]);
-  Alcotest.(check (array int)) "singleton input" [| 50 |]
-    (Pool.parmap pool f [| 7 |])
+    (fan pool f xs);
+  Alcotest.(check (array int)) "empty input" [||] (fan pool f [||]);
+  Alcotest.(check (array int)) "singleton input" [| 50 |] (fan pool f [| 7 |])
 
-let test_parmap_exception () =
+let test_parfan_exception () =
   with_pool @@ fun pool ->
   let f x = if x = 57 then failwith "item 57" else x in
-  (match Pool.parmap pool f (Array.init 200 Fun.id) with
+  (match fan pool f (Array.init 200 Fun.id) with
   | _ -> Alcotest.fail "the failing item must surface"
   | exception Failure m -> Alcotest.(check string) "which item" "item 57" m);
+  (* the least index wins even when a later thunk also fails *)
+  (match
+     fan pool
+       (fun x -> if x = 3 || x = 150 then failwith (string_of_int x) else x)
+       (Array.init 200 Fun.id)
+   with
+  | _ -> Alcotest.fail "a failing item must surface"
+  | exception Failure m -> Alcotest.(check string) "least index" "3" m);
   (* the pool survives a failed region *)
   Alcotest.(check (array int)) "pool reusable after failure" [| 0; 1; 2 |]
-    (Pool.parmap pool Fun.id [| 0; 1; 2 |])
+    (fan pool Fun.id [| 0; 1; 2 |])
 
-let test_parmap_nested () =
+let test_parfan_nested () =
   with_pool @@ fun pool ->
   (* a task that calls back into its own pool: the nested region must run
      inline (serially) rather than deadlock on the busy workers *)
-  let f x =
-    Array.fold_left ( + ) 0 (Pool.parmap pool (fun y -> x + y) [| 1; 2; 3 |])
-  in
-  Alcotest.(check (array int)) "nested regions"
-    [| 6; 9; 12 |]
-    (Pool.parmap pool f [| 0; 1; 2 |])
-
-(* --- adaptive serial cutoff --- *)
-
-let test_cutoff_serial () =
-  (* cutoff max_int makes the pool fully serial — no workers are spawned
-     (parked domains would still tax every minor GC) and every item runs
-     on the calling domain *)
-  Pool.with_pool ~jobs:2 ~cutoff:max_int @@ fun pool ->
-  Alcotest.(check int) "cutoff accessor" max_int (Pool.cutoff pool);
-  Alcotest.(check int) "no workers spawned" 1 (Pool.size pool);
-  let me = (Domain.self () :> int) in
-  let doms = Pool.parmap pool (fun _ -> (Domain.self () :> int)) (Array.init 64 Fun.id) in
-  Alcotest.(check bool) "all items ran on the caller" true
-    (Array.for_all (fun d -> d = me) doms)
-
-let test_cutoff_probe_small_work () =
-  (* a huge finite cutoff exercises the probe path: tiny items project far
-     below it, so the region finishes serially on the caller *)
-  Pool.with_pool ~jobs:2 ~cutoff:1_000_000_000 @@ fun pool ->
-  let me = (Domain.self () :> int) in
-  let xs = Array.init 512 Fun.id in
-  let doms = Pool.parmap pool (fun _ -> (Domain.self () :> int)) xs in
-  Alcotest.(check bool) "projected-small region stayed serial" true
-    (Array.for_all (fun d -> d = me) doms);
-  Alcotest.(check (array int)) "values unchanged by the probe"
-    (Array.map (fun x -> x * 3) xs)
-    (Pool.parmap pool (fun x -> x * 3) xs);
-  (* an exception raised inside the probe prefix must surface as usual *)
-  match Pool.parmap pool (fun x -> if x = 0 then failwith "probe" else x) xs with
-  | _ -> Alcotest.fail "probe exception must surface"
-  | exception Failure m -> Alcotest.(check string) "probe exception" "probe" m
+  let f x = Array.fold_left ( + ) 0 (fan pool (fun y -> x + y) [| 1; 2; 3 |]) in
+  Alcotest.(check (array int)) "nested regions" [| 6; 9; 12 |]
+    (fan pool f [| 0; 1; 2 |])
 
 let test_parfan_order () =
   with_pool @@ fun pool ->
@@ -105,7 +81,7 @@ let test_budget_race () =
      be stopped by an Exhausted, and all must observe the same single
      exhaustion event *)
   let outcomes =
-    Pool.parmap pool
+    fan pool
       (fun _ ->
         let local = Budget.local budget in
         match
@@ -144,7 +120,7 @@ let test_budget_race () =
     (Budget.cancelled budget);
   (* workers have drained: the pool still runs fresh regions *)
   Alcotest.(check (array int)) "pool drained and reusable" [| 1; 2; 3 |]
-    (Pool.parmap pool (fun x -> x + 1) [| 0; 1; 2 |])
+    (fan pool (fun x -> x + 1) [| 0; 1; 2 |])
 
 let test_budget_poll_cancels () =
   let budget = Budget.create ~max_states:1 () in
@@ -165,16 +141,16 @@ let test_budget_poll_cancels () =
 module Fault = Rl_engine.Fault
 
 let test_worker_death_mid_map () =
-  Pool.with_pool ~jobs ~cutoff:0 @@ fun pool ->
+  with_pool @@ fun pool ->
   let xs = Array.init 500 Fun.id in
   let expect = Array.map (fun x -> x * 7) xs in
   (* rate 1.0: every worker dies the moment it picks the job up (and the
-     caller's own mid-map probe aborts its body after it claimed a
-     chunk), so the whole region is orphaned-slot repair *)
+     caller's own mid-region death probe aborts its body after it claimed
+     a chunk), so the whole region is orphaned-slot repair *)
   Fault.configure ~seed:7 [ (Fault.Pool_domain_death, 1.0) ];
   let got =
     Fun.protect ~finally:Fault.reset (fun () ->
-        Pool.parmap pool (fun x -> x * 7) xs)
+        fan pool (fun x -> x * 7) xs)
   in
   Alcotest.(check (array int)) "results identical with every worker dead"
     expect got;
@@ -183,20 +159,20 @@ let test_worker_death_mid_map () =
   Alcotest.(check int) "deaths recorded" (jobs - 1) (Pool.deaths pool);
   (* the degradation floor: zero workers, regions still complete *)
   Alcotest.(check (array int)) "serial floor still serves" expect
-    (Pool.parmap pool (fun x -> x * 7) xs);
+    (fan pool (fun x -> x * 7) xs);
   Pool.heal pool;
   Alcotest.(check int) "heal respawned every worker" (jobs - 1)
     (Pool.alive pool);
   Alcotest.(check bool) "no longer degraded" false (Pool.degraded pool);
   Alcotest.(check int) "heals recorded" (jobs - 1) (Pool.heals pool);
   Alcotest.(check (array int)) "healed pool serves" expect
-    (Pool.parmap pool (fun x -> x * 7) xs)
+    (fan pool (fun x -> x * 7) xs)
 
 let test_worker_death_partial_rate () =
-  (* a fractional rate kills a changing subset of workers mid-map across
+  (* a fractional rate kills a changing subset of workers mid-region across
      several regions; every region's output must stay byte-identical to
      the serial map, and healing between regions must keep converging *)
-  Pool.with_pool ~jobs ~cutoff:0 @@ fun pool ->
+  with_pool @@ fun pool ->
   let xs = Array.init 2000 Fun.id in
   let expect = Array.map (fun x -> x + 3) xs in
   Fault.configure ~seed:42 [ (Fault.Pool_domain_death, 0.25) ];
@@ -205,7 +181,7 @@ let test_worker_death_partial_rate () =
         Alcotest.(check (array int))
           (Printf.sprintf "round %d verdict equality under chaos" round)
           expect
-          (Pool.parmap pool (fun x -> x + 3) xs);
+          (fan pool (fun x -> x + 3) xs);
         Pool.heal pool
       done);
   Alcotest.(check bool) "healed back to full strength" false
@@ -251,32 +227,6 @@ let prop_inclusion_jobs_invariant =
       | Error w, Error w' -> Word.equal w w'
       | _ -> false)
 
-let buchi_repr b =
-  ( Buchi.states b,
-    Buchi.initial b,
-    Rl_prelude.Bitset.elements (Buchi.accepting b),
-    Buchi.transitions b )
-
-let prop_complement_jobs_invariant =
-  QCheck2.Test.make
-    ~name:"Complement.complement: output automaton bit-identical for jobs 1 vs N"
-    ~count:40 gen_ts (fun ts ->
-      let b = Buchi.of_transition_system ts in
-      let run pool = buchi_repr (Complement.complement ?pool ~max_states:3000 b) in
-      match (run None, with_pool (fun pool -> run (Some pool))) with
-      | serial, parallel -> serial = parallel
-      | exception Complement.Too_large _ ->
-          (* the cap must trip identically: re-run both and require the
-             same exception point *)
-          (match
-             ( (try `V (run None) with Complement.Too_large n -> `TL n),
-               with_pool (fun pool ->
-                   try `V (run (Some pool)) with Complement.Too_large n -> `TL n)
-             )
-           with
-          | `TL n, `TL n' -> n = n'
-          | _ -> false))
-
 let prop_rl_verdict_jobs_invariant =
   QCheck2.Test.make
     ~name:"relative liveness: verdict and witness identical for jobs 1 vs N"
@@ -313,7 +263,7 @@ let prop_exhaustion_jobs_invariant =
 
 (* The generated automata here are tiny (na*nb <= 36), far below the
    default RLCHECK_WS_MIN product of 256, so without forcing the gate
-   every case would take the parmap path and the work-stealing engine
+   every case would take the serial path and the work-stealing engine
    would go untested. The gate is re-read per [Inclusion.included] call,
    so a putenv around the check is enough. *)
 let with_ws_forced f =
@@ -378,7 +328,7 @@ let prop_ws_budget_gate =
    share. The verdicts must not notice. *)
 let test_ws_worker_death () =
   with_ws_forced @@ fun () ->
-  Pool.with_pool ~jobs ~cutoff:0 @@ fun pool ->
+  with_pool @@ fun pool ->
   let cases =
     List.init 12 (fun i ->
         let rng = Helpers.mk_rng (1000 + (37 * i)) in
@@ -415,15 +365,11 @@ let () =
     [
       ( "pool",
         [
-          Alcotest.test_case "parmap = map" `Quick test_parmap_matches_map;
-          Alcotest.test_case "parmap exceptions" `Quick test_parmap_exception;
+          Alcotest.test_case "parfan = map" `Quick test_parfan_matches_map;
+          Alcotest.test_case "parfan exceptions" `Quick test_parfan_exception;
           Alcotest.test_case "nested regions run inline" `Quick
-            test_parmap_nested;
+            test_parfan_nested;
           Alcotest.test_case "parfan order" `Quick test_parfan_order;
-          Alcotest.test_case "cutoff max_int stays serial" `Quick
-            test_cutoff_serial;
-          Alcotest.test_case "probe keeps small regions serial" `Quick
-            test_cutoff_probe_small_work;
         ] );
       ( "budget",
         [
@@ -442,7 +388,6 @@ let () =
       ( "properties",
         [
           qcheck prop_inclusion_jobs_invariant;
-          qcheck prop_complement_jobs_invariant;
           qcheck prop_rl_verdict_jobs_invariant;
           qcheck prop_exhaustion_jobs_invariant;
         ] );

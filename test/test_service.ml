@@ -391,6 +391,38 @@ let test_request_model_cache () =
         (List.length a.Request.diagnostics
         = List.length b.Request.diagnostics))
 
+(* two files with equal text: the cached parse of one must not hand its
+   file name to the other's diagnostics *)
+let test_request_model_cache_path () =
+  let dir = Filename.temp_file "rl_service_cache" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let path name =
+    let p = Filename.concat dir name in
+    Out_channel.with_open_text p (fun oc -> output_string oc "0 a 1\n1 b 0\n");
+    p
+  in
+  let a_path = path "a.ts" and b_path = path "b.ts" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove a_path;
+      Sys.remove b_path;
+      Unix.rmdir dir)
+    (fun () ->
+      let cache = Request.cache ~capacity:8 () in
+      let files p =
+        let r = run ~cache (Request.job Request.Rl (Request.File p) "[]<>a") in
+        List.map (fun d -> d.Rl_analysis.Diagnostic.file) r.Request.diagnostics
+      in
+      let a_files = files a_path and b_files = files b_path in
+      Alcotest.(check bool) "a.ts has diagnostics" true (a_files <> []);
+      Alcotest.(check (list (option string))) "a.ts diagnostics name a.ts"
+        (List.map (fun _ -> Some a_path) a_files)
+        a_files;
+      Alcotest.(check (list (option string))) "b.ts diagnostics name b.ts"
+        (List.map (fun _ -> Some b_path) a_files)
+        b_files)
+
 (* --- incremental re-check --- *)
 
 module Simcache = Rl_engine.Simcache
@@ -701,12 +733,35 @@ let ask_conn ic oc line =
 
 let close_conn fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let shutdown_daemon sock =
+(* A fresh connection can be refused while an earlier one's handler is
+   still exiting: the refusal line then EOF, or — when the refusal closes
+   the socket before our request is written — a broken pipe or reset.
+   [ask_fresh] answers [None] for those, meaning "slot not free yet". *)
+let ask_fresh sock line =
   let fd, ic, oc = connect sock in
-  let r = ask_conn ic oc {|{"op":"shutdown"}|} in
-  close_conn fd;
-  Alcotest.(check bool) "shutdown acknowledged" true
-    (J.bool_member "stopping" r = Some true)
+  Fun.protect
+    ~finally:(fun () -> close_conn fd)
+    (fun () ->
+      match ask_conn ic oc line with
+      | r -> Some r
+      | exception (End_of_file | Unix.Unix_error ((EPIPE | ECONNRESET), _, _))
+        ->
+          None
+      (* channels report EPIPE/ECONNRESET as Sys_error with strerror's text *)
+      | exception Sys_error m
+        when m = "Broken pipe" || m = "Connection reset by peer" ->
+          None)
+
+let shutdown_daemon sock =
+  let rec go n =
+    match ask_fresh sock {|{"op":"shutdown"}|} with
+    | Some r when J.bool_member "stopping" r = Some true -> true
+    | _ when n > 1 ->
+        Thread.delay 0.02;
+        go (n - 1)
+    | _ -> false
+  in
+  Alcotest.(check bool) "shutdown acknowledged" true (go 200)
 
 let job_json ?(kind = "rl") ~name text formula =
   J.Obj
@@ -883,13 +938,11 @@ let test_daemon_connection_limit () =
           let rec retry n =
             if n = 0 then Alcotest.fail "slot did not free after a close"
             else
-              let fd, ic, oc = connect sock in
-              let r = ask_conn ic oc {|{"op":"ping"}|} in
-              close_conn fd;
-              if J.bool_member "pong" r <> Some true then begin
-                Thread.delay 0.02;
-                retry (n - 1)
-              end
+              match ask_fresh sock {|{"op":"ping"}|} with
+              | Some r when J.bool_member "pong" r = Some true -> ()
+              | _ ->
+                  Thread.delay 0.02;
+                  retry (n - 1)
           in
           retry 200))
 
@@ -954,7 +1007,7 @@ let prop_chaos_pool_death =
       in
       let clean = reply_repr (Request.run job) in
       let chaotic =
-        Pool.with_pool ~jobs:3 ~cutoff:0 (fun pool ->
+        Pool.with_pool ~jobs:3 (fun pool ->
             with_faults ~seed:11
               [ (Fault.Pool_domain_death, 0.2) ]
               (fun () -> reply_repr (Request.run ~pool job)))
@@ -998,7 +1051,7 @@ let test_chaos_concurrent_pool_death () =
           "[]<>a")
   in
   let clean = List.map (fun j -> reply_repr (run j)) jobs in
-  Pool.with_pool ~jobs:3 ~cutoff:0 (fun pool ->
+  Pool.with_pool ~jobs:3 (fun pool ->
       with_faults ~seed:11
         [ (Fault.Pool_domain_death, 0.2) ]
         (fun () ->
@@ -1110,6 +1163,8 @@ let () =
             test_request_budget_exhaustion;
           Alcotest.test_case "model cache hits preserve replies" `Quick
             test_request_model_cache;
+          Alcotest.test_case "model cache keys on the file path" `Quick
+            test_request_model_cache_path;
         ] );
       ( "incremental",
         [
