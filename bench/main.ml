@@ -1393,11 +1393,11 @@ let recheck_profile () =
           && reply_key equiv = reply_key (scratch equivalent_text)
           && reply_key edited = reply_key (scratch edited_text)
         in
-        let s = Request.recheck_stats cache in
+        let s = Request.stats cache in
         Printf.printf
           "  cold %.6f s, resubmit %.6f s, equivalent edit %.6f s, \
            reachable edit %.6f s (%d memo hits, %d decides)\n%!"
-          cold_s resub_s equiv_s edited_s s.Request.memo_hits
+          cold_s resub_s equiv_s edited_s s.Request.decide.hits
           s.Request.decides;
         {
           rc_family = name;
@@ -1405,7 +1405,7 @@ let recheck_profile () =
           rc_resubmit_s = resub_s;
           rc_equivalent_s = equiv_s;
           rc_edited_s = edited_s;
-          rc_memo_hits = s.Request.memo_hits;
+          rc_memo_hits = s.Request.decide.hits;
           rc_decides = s.Request.decides;
           rc_verdicts_equal = verdicts_equal;
         })

@@ -75,7 +75,11 @@ let deadline_arg =
   Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
 
 let cache_cap_arg =
-  let doc = "Capacity of the parsed-model LRU cache (0 = unbounded)." in
+  let doc =
+    "Capacity of the request cache, in models (0 = unbounded): one unit \
+     holds one model's parse, pre-flight lint report and verdict, so the \
+     LRU keeps at most 3 * $(docv) entries."
+  in
   Arg.(value & opt int 256 & info [ "model-cache" ] ~docv:"N" ~doc)
 
 let max_batch_arg =

@@ -197,25 +197,6 @@ let backward ?cache n =
     ~succ:(pred_fn n)
     ()
 
-(* The Simcache keys {!forward} and {!backward} would memoize under for
-   this automaton — what the service's incremental re-check tracks per
-   model so it can invalidate exactly the entries fingerprinted from an
-   edited-away version. Computed on [remove_eps n], matching what the
-   deciders actually hand to the preorder engine. *)
-let cache_keys n =
-  let n = Nfa.remove_eps n in
-  let states = Nfa.states n in
-  let symbols = Alphabet.size (Nfa.alphabet n) in
-  [
-    fingerprint ~tag:"nfa-fwd" ~states ~symbols
-      ~memberships:[ Nfa.finals n ]
-      ~succ:(fun q a -> Nfa.successors n q a);
-    fingerprint ~tag:"nfa-bwd" ~states ~symbols
-      ~memberships:
-        [ Bitset.of_list (max states 1) (Nfa.initial n); Nfa.finals n ]
-      ~succ:(pred_fn n);
-  ]
-
 (* Quotient by mutual similarity. The greatest simulation is a preorder,
    so mutual similarity is an equivalence; classes are numbered in order
    of their smallest member, which keeps the construction deterministic. *)

@@ -68,14 +68,6 @@ val of_view :
   unit ->
   t
 
-(** [cache_keys n] is the list of {!Rl_engine_kernel.Simcache} keys
-    under which {!forward} and {!backward} memoize the preorders of
-    [remove_eps n]. The checking service tracks these per model: when a
-    client resubmits an edited model, the previous version's keys are
-    passed to [Simcache.remove] so its dead entries free their capacity
-    immediately instead of waiting for LRU pressure. *)
-val cache_keys : Nfa.t -> string list
-
 (** {1 Quotients} *)
 
 (** [mutual_classes t] partitions states by mutual similarity (an

@@ -15,11 +15,11 @@ module Budget = Rl_engine_kernel.Budget
    trapped in odd ranks — i.e. visits accepting states only finitely
    often.
 
-   The construction is level-synchronous: each round takes the frontier of
-   freshly interned states, computes every state's compatible successor
-   rankings, then interns the results in frontier order, symbol by
-   symbol — the FIFO order of a plain worklist, which fixes the state
-   numbering and the point at which [Too_large] or the budget trips. *)
+   States are explored from a FIFO worklist, symbol by symbol, and every
+   compatible successor ranking is interned the moment it is enumerated:
+   the worklist order fixes the state numbering, and [Too_large] or the
+   budget trips before the next ranking is built — a (2n+1)^n blow-up is
+   cut off at the cap, not after it has been materialised. *)
 
 type key = int array * int list
 
@@ -65,11 +65,12 @@ let complement ?(budget = Budget.unlimited) ?max_states b =
           Hashtbl.add table key id;
           (id, true)
     in
-    (* All successor keys of (g, o) on symbol [a], in enumeration order.
-       [bound] and [o_succ] are scratch reused across the whole
-       construction, refilled here. *)
+    (* [successor_keys (g, o) a emit] calls [emit] on every successor key
+       of (g, o) on symbol [a], in enumeration order. [bound] and [o_succ]
+       are scratch reused across the whole construction, refilled here;
+       [emit] must not touch them. *)
     let bound = Array.make n (-1) and o_succ = Array.make n false in
-    let successor_keys (g, o) a =
+    let successor_keys (g, o) a emit =
       (* Rank bound for each successor state: min over its ranked
          predecessors. -1 means "not a successor" (stays ⊥). *)
       Array.fill bound 0 n (-1);
@@ -97,7 +98,6 @@ let complement ?(budget = Budget.unlimited) ?max_states b =
       for q = n - 1 downto 0 do
         if bound.(q) >= 0 then dom := q :: !dom
       done;
-      let acc = ref [] in
       let rec enumerate assigned = function
         | [] ->
             let g' = Array.make n (-1) in
@@ -115,7 +115,7 @@ let complement ?(budget = Budget.unlimited) ?max_states b =
                   assigned
                 |> List.sort compare
             in
-            acc := (g', o') :: !acc
+            emit (g', o')
         | q :: rest ->
             let is_acc = Buchi.is_accepting b q in
             for r = 0 to bound.(q) do
@@ -123,12 +123,7 @@ let complement ?(budget = Budget.unlimited) ?max_states b =
                 enumerate ((q, r) :: assigned) rest
             done
       in
-      enumerate [] !dom;
-      List.rev !acc
-    in
-    let expand key =
-      Budget.poll budget;
-      Array.init k (successor_keys key)
+      enumerate [] !dom
     in
     let initial_set = Rl_prelude.Bitset.of_list n (Buchi.initial b) in
     let init_ranks =
@@ -144,28 +139,20 @@ let complement ?(budget = Budget.unlimited) ?max_states b =
       if snd key = [] then accepting := id :: !accepting
     in
     note_accepting init_key init_id;
-    let frontier = ref [ init_key ] (* most recent first *) in
-    while !frontier <> [] do
-      let keys = Array.of_list (List.rev !frontier) in
-      frontier := [];
-      let expanded = Array.map expand keys in
-      (* Intern sequentially, in frontier order: FIFO worklist order. *)
-      Array.iteri
-        (fun i key ->
-          let src = Hashtbl.find table key in
-          Array.iteri
-            (fun a succs ->
-              List.iter
-                (fun key' ->
-                  let dst, fresh = intern key' in
-                  if fresh then begin
-                    frontier := key' :: !frontier;
-                    note_accepting key' dst
-                  end;
-                  transitions := (src, a, dst) :: !transitions)
-                succs)
-            expanded.(i))
-        keys
+    let work = Queue.create () in
+    Queue.add (init_key, init_id) work;
+    while not (Queue.is_empty work) do
+      let key, src = Queue.pop work in
+      Budget.poll budget;
+      for a = 0 to k - 1 do
+        successor_keys key a (fun key' ->
+            let dst, fresh = intern key' in
+            if fresh then begin
+              Queue.add (key', dst) work;
+              note_accepting key' dst
+            end;
+            transitions := (src, a, dst) :: !transitions)
+      done
     done;
     Buchi.create ~alphabet ~states:!count ~initial:[ init_id ]
       ~accepting:!accepting ~transitions:!transitions ()

@@ -74,14 +74,6 @@ let put t k v =
       push_front t n);
   trim t
 
-let remove t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> false
-  | Some n ->
-      unlink t n;
-      Hashtbl.remove t.table k;
-      true
-
 let set_capacity t n =
   t.capacity <- n;
   trim t

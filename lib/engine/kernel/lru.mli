@@ -6,7 +6,7 @@
     models would otherwise OOM the daemon through the very caches that
     make it fast. This is the eviction layer those caches share —
     {!Simcache} bounds its preorder table with it, and the service's
-    parsed-model cache sits on it directly.
+    request cache sits on it directly.
 
     Operations are O(1) (hash table + intrusive doubly-linked recency
     list). The structure is {e not} synchronized: callers that share an
@@ -30,10 +30,6 @@ val put : ('k, 'v) t -> 'k -> 'v -> unit
 
 val length : ('k, 'v) t -> int
 val capacity : ('k, 'v) t -> int
-
-(** [remove t k] drops the binding for [k] if present; [true] iff a
-    binding was dropped. Not counted as an eviction. *)
-val remove : ('k, 'v) t -> 'k -> bool
 
 (** [set_capacity t n] rebounds the cache, evicting down to [n] at once
     if it currently holds more ([n <= 0] = unbounded). *)

@@ -20,7 +20,9 @@
    so entries beyond the capacity (default 512, env
    RLCHECK_SIMCACHE_CAP) are evicted least-recently-used. Eviction costs
    only recomputation — correctness never depends on a hit, and the
-   cache-miss-storm injection point exercises exactly that.
+   cache-miss-storm injection point exercises exactly that. An entry is
+   never removed early: keys are content-addressed, so the fingerprints
+   of an edited-away model simply stop being hit and age out.
 
    A mutex guards the table: deciders running under [Pool] may race on
    lookups. Entries are immutable once inserted, so readers outside the
@@ -51,30 +53,6 @@ let hits = ref 0
 
 let misses = ref 0
 
-let invalidations = ref 0
-
-(* Key observers, for the service's incremental re-check: a decide wants
-   the set of fingerprints it touches so the keys can be evicted when
-   the model is edited away. Observers are global — a decide running
-   concurrently on another thread is observed too — but over-recording
-   is harmless: keys are content-addressed, so removing a live entry
-   only ever costs a recomputation. Callbacks run under the table mutex
-   and must not call back into this module. *)
-let observers : (key -> unit) list ref = ref []
-
-let observe key = List.iter (fun f -> f key) !observers
-
-let with_observer f body =
-  Mutex.lock mutex;
-  observers := f :: !observers;
-  Mutex.unlock mutex;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock mutex;
-      observers := List.filter (fun g -> g != f) !observers;
-      Mutex.unlock mutex)
-    body
-
 let find_or_compute key compute =
   (* the cache-miss-storm injection point: pretend the entry was evicted
      and recompute — the slow path must stay correct under a cold cache *)
@@ -82,7 +60,6 @@ let find_or_compute key compute =
     Fault.armed () && Fault.should_fire Fault.Cache_miss_storm
   in
   Mutex.lock mutex;
-  observe key;
   match if storm then None else Lru.find table key with
   | Some rows ->
       incr hits;
@@ -99,24 +76,6 @@ let find_or_compute key compute =
       Lru.put table key rows;
       Mutex.unlock mutex;
       rows
-
-(* Targeted invalidation, for the service's incremental re-check: when a
-   client resubmits an edited model, the entries fingerprinted from the
-   old version's reachable structure are dead weight — they can never be
-   hit again (keys are content-addressed), but until evicted they hold
-   capacity hostage. Removing an entry that a concurrent decider already
-   obtained is harmless: returned rows stay valid (immutable), and a
-   racing re-request just recomputes. *)
-let remove key =
-  Mutex.lock mutex;
-  if Lru.remove table key then incr invalidations;
-  Mutex.unlock mutex
-
-let invalidated () =
-  Mutex.lock mutex;
-  let n = !invalidations in
-  Mutex.unlock mutex;
-  n
 
 let stats () =
   Mutex.lock mutex;
@@ -146,5 +105,4 @@ let clear () =
   Lru.clear table;
   hits := 0;
   misses := 0;
-  invalidations := 0;
   Mutex.unlock mutex

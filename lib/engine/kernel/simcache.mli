@@ -13,8 +13,10 @@
     environment variable or {!set_capacity} ([<= 0] = unbounded) — are
     evicted least-recently-used, so a long-running daemon fed a hostile
     stream of distinct models pays recomputation, never unbounded
-    memory. Entries are immutable after insertion: treat returned rows
-    as read-only. *)
+    memory. Nothing is removed eagerly: keys are content-addressed, so
+    the entries of a model a client has edited away can never be hit
+    again and fall to LRU pressure like any other. Entries are immutable
+    after insertion: treat returned rows as read-only. *)
 
 type key = string
 (** A structural fingerprint, e.g. [Digest.string] of a canonical
@@ -27,30 +29,6 @@ type entry = Rl_prelude.Bitset.t array
     runs [compute] (outside the table lock), stores and returns its
     result. [compute] must be deterministic for the key. *)
 val find_or_compute : key -> (unit -> entry) -> entry
-
-(** [with_observer f body] runs [body] with [f] installed as a key
-    observer: [f key] fires (under the table mutex — [f] must not call
-    back into this module) for every key {!find_or_compute} touches,
-    hit or miss, on any thread, until [body] returns. The service's
-    incremental re-check records a decide's keys this way so an edit to
-    the model can {!remove} exactly the entries it fingerprinted.
-    Concurrent decides over-record each other's keys; since keys are
-    content-addressed, the resulting early eviction of a live entry
-    only ever costs a recomputation. Nests freely. *)
-val with_observer : (key -> unit) -> (unit -> 'a) -> 'a
-
-(** [remove key] drops the entry for [key] if present. The service's
-    incremental re-check calls this for the fingerprints of a model
-    version a client has edited away: those keys can never be hit again
-    (keys are content-addressed), so evicting them eagerly frees
-    capacity instead of waiting for LRU pressure. Safe concurrently with
-    {!find_or_compute}: rows already handed out stay valid (entries are
-    immutable), and a racing lookup just recomputes. *)
-val remove : key -> unit
-
-(** [invalidated ()] — entries dropped by {!remove} since the last
-    {!clear} (distinct from LRU {!evictions}). *)
-val invalidated : unit -> int
 
 (** [stats ()] is [(hits, misses, entries)] since the last {!clear}. *)
 val stats : unit -> int * int * int

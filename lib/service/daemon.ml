@@ -10,7 +10,7 @@
    abusive client throttles itself, not the daemon. Replies to one
    connection are serialized by a per-connection write mutex and carry
    the client's request id, so interleaved replies stay attributable.
-   All connections share the domain pool, the parsed-model cache and the
+   All connections share the domain pool, the request cache and the
    simulation cache, each behind its own lock; the daemon's own counters
    sit behind [d.lock].
 
@@ -319,8 +319,7 @@ let stats_json d =
   Mutex.unlock d.lock;
   let sim_hits, sim_misses, sim_entries = Simcache.stats () in
   let rate h m = if h + m = 0 then J.Null else J.Num (float_of_int h /. float_of_int (h + m)) in
-  let m_hits, m_misses, m_entries, m_evictions = Request.cache_stats d.cache in
-  let r = Request.recheck_stats d.cache in
+  let r = Request.stats d.cache in
   let pool_json =
     match pool with
     | None ->
@@ -396,41 +395,31 @@ let stats_json d =
             ("misses", J.Num (float_of_int sim_misses));
             ("entries", J.Num (float_of_int sim_entries));
             ("evictions", J.Num (float_of_int (Simcache.evictions ())));
-            ("invalidations", J.Num (float_of_int (Simcache.invalidated ())));
             ("capacity", J.Num (float_of_int (Simcache.capacity ())));
             ("hit_rate", rate sim_hits sim_misses);
           ] );
       ( "recheck",
         J.Obj
           [
-            ("new_models", J.Num (float_of_int r.Request.new_models));
-            ("identical", J.Num (float_of_int r.Request.identical));
-            ("equivalent", J.Num (float_of_int r.Request.equivalent));
-            ("local", J.Num (float_of_int r.Request.local));
-            ("global", J.Num (float_of_int r.Request.global));
-            ("memo_hits", J.Num (float_of_int r.Request.memo_hits));
-            ("decides", J.Num (float_of_int r.Request.decides));
+            ("memo_hits", J.Num (float_of_int r.decide.hits));
+            ("decides", J.Num (float_of_int r.decides));
           ] );
+      (* the shared request cache: its size, plus the parse lookups *)
       ( "model_cache",
         J.Obj
           [
-            ("hits", J.Num (float_of_int m_hits));
-            ("misses", J.Num (float_of_int m_misses));
-            ("entries", J.Num (float_of_int m_entries));
-            ("evictions", J.Num (float_of_int m_evictions));
-            ("hit_rate", rate m_hits m_misses);
+            ("hits", J.Num (float_of_int r.parse.hits));
+            ("misses", J.Num (float_of_int r.parse.misses));
+            ("entries", J.Num (float_of_int r.entries));
+            ("evictions", J.Num (float_of_int r.evictions));
+            ("hit_rate", rate r.parse.hits r.parse.misses);
           ] );
       ( "lint_stats",
-        let l_hits, l_misses, l_entries, l_invalidated =
-          Request.lint_stats d.cache
-        in
         J.Obj
           [
-            ("hits", J.Num (float_of_int l_hits));
-            ("misses", J.Num (float_of_int l_misses));
-            ("entries", J.Num (float_of_int l_entries));
-            ("invalidated", J.Num (float_of_int l_invalidated));
-            ("hit_rate", rate l_hits l_misses);
+            ("hits", J.Num (float_of_int r.lint.hits));
+            ("misses", J.Num (float_of_int r.lint.misses));
+            ("hit_rate", rate r.lint.hits r.lint.misses);
           ] );
       ("zombies", J.Num (float_of_int (Supervisor.zombies ())));
       ( "faults",

@@ -6,23 +6,18 @@
    verdict wording, the certification step (no witness is reported that
    its independent replay does not confirm), and the exit-code mapping.
 
-   Service-only additions: a bounded cross-request model cache (a cache
-   hit skips re-parsing); a lint-report memo keyed on the untrimmed
-   system, so a resubmission re-lints only when its diagnostics could
-   differ; the incremental re-check
-   (see the section below), which diffs a resubmitted model against its
-   previous version, replays memoized verdicts when the edit provably
-   cannot change them, and eagerly evicts the Simcache entries an edit
-   killed; and the malformed-input fault probe, which corrupts the model
-   source just before parsing to exercise the typed parse-error path end
-   to end. *)
+   Service-only additions: one bounded, content-addressed request cache
+   (see the section below) that memoizes model parses, pre-flight lint
+   reports and decide outcomes, each keyed on a digest of exactly the
+   input it is a function of; and the malformed-input fault probe, which
+   corrupts the model source just before parsing to exercise the typed
+   parse-error path end to end. *)
 
 module Budget = Rl_engine.Budget
 module Error = Rl_engine.Error
 module Certify = Rl_engine.Certify
 module Fault = Rl_engine.Fault
 module Lru = Rl_engine.Lru
-module Simcache = Rl_engine.Simcache
 module Diagnostic = Rl_analysis.Diagnostic
 module Lint = Rl_analysis.Lint
 open Rl_sigma
@@ -74,11 +69,28 @@ let exit_code r =
   | Blocked -> 2
   | Failed err -> Error.exit_code err
 
-(* --- model cache and incremental re-check state --- *)
+(* --- the request cache ---
 
-(* the last version of a model that reached the decide step: the parsed
-   (untrimmed) system, and the Simcache keys its decide touched *)
-type version = { v_sys : Nfa.t; v_keys : string list }
+   The daemon sees the same models resubmitted in a check–edit–recheck
+   loop. One LRU memoizes the three deterministic stages of a request,
+   each under a key of a tag byte plus a digest of everything that stage
+   consumes:
+   - [Parse]: the model name and source text -> the untrimmed system and
+     its parse diagnostics;
+   - [Lint]: the model name, formula, untrimmed system and parse
+     diagnostics -> the pre-flight report ([lint_key]);
+   - [Decide]: the check kind, formula, state limit and trimmed system ->
+     the verdict ([decide_key]).
+
+   Content addressing is the whole soundness argument: equal keys mean
+   the stage would receive bit-for-bit the same input, so a hit replays
+   exactly what a from-scratch run computes. Nothing is evicted eagerly:
+   an edit changes the keys, the entries of the edited-away version can
+   never be hit again, and LRU pressure evicts them. An edit confined to
+   the unreachable region leaves the trimmed system, hence the decide
+   key, intact — the verdict is replayed — while the stricter lint key
+   (the untrimmed system) re-runs the passes, whose diagnostics it may
+   change. *)
 
 (* a memoized decide outcome; [o_states] is what the original run
    explored, reported verbatim so a replayed reply is indistinguishable
@@ -87,85 +99,77 @@ type outcome = {
   o_verdict :
     [ `Holds of string | `Fails of string * string | `Failed of Error.t ];
   o_states : int;
-  o_keys : string list;
 }
 
-type recheck_stats = {
-  new_models : int;
-  identical : int;
-  equivalent : int;
-  local : int;
-  global : int;
-  memo_hits : int;
-  decides : int;
-}
+type tag = Parse | Lint | Decide
 
-let no_rechecks =
-  {
-    new_models = 0;
-    identical = 0;
-    equivalent = 0;
-    local = 0;
-    global = 0;
-    memo_hits = 0;
-    decides = 0;
-  }
+let tag_index = function Parse -> 0 | Lint -> 1 | Decide -> 2
+
+type entry =
+  | Parsed of (Nfa.t * Diagnostic.t list)
+  | Linted of Diagnostic.t list
+  | Decided of outcome
 
 type cache = {
-  lru : (string, Nfa.t * Diagnostic.t list) Lru.t;
-  mutable hits : int;
-  mutable misses : int;
-  history : (string, version) Lru.t; (* model name -> last version *)
-  memo : (string, outcome) Lru.t; (* decide_key -> outcome *)
-  lint_memo : (string, Diagnostic.t list) Lru.t; (* lint_key -> report *)
-  lint_index : (string, string list) Lru.t; (* model name -> lint keys *)
-  mutable lint_hits : int;
-  mutable lint_misses : int;
-  mutable lint_invalidated : int;
-  mutable recheck : recheck_stats;
+  store : (string, entry) Lru.t;
+  hits : int array; (* per tag *)
+  misses : int array;
+  mutable decides : int;
   mutex : Mutex.t;
 }
 
+(* one unit of capacity holds one model's parse, lint report and verdict *)
 let cache ~capacity () =
   {
-    lru = Lru.create ~capacity ();
-    hits = 0;
-    misses = 0;
-    history = Lru.create ~capacity ();
-    memo = Lru.create ~capacity ();
-    lint_memo = Lru.create ~capacity ();
-    lint_index = Lru.create ~capacity ();
-    lint_hits = 0;
-    lint_misses = 0;
-    lint_invalidated = 0;
-    recheck = no_rechecks;
+    store = Lru.create ~capacity:(3 * capacity) ();
+    hits = Array.make 3 0;
+    misses = Array.make 3 0;
+    decides = 0;
     mutex = Mutex.create ();
   }
 
-let cache_stats c =
+let locked c f =
   Mutex.lock c.mutex;
-  let s = (c.hits, c.misses, Lru.length c.lru, Lru.evictions c.lru) in
-  Mutex.unlock c.mutex;
-  s
+  Fun.protect ~finally:(fun () -> Mutex.unlock c.mutex) f
 
-let lint_stats c =
-  Mutex.lock c.mutex;
-  let s =
-    (c.lint_hits, c.lint_misses, Lru.length c.lint_memo, c.lint_invalidated)
-  in
-  Mutex.unlock c.mutex;
-  s
+(* the store key: one tag byte, then the stage's input digest *)
+let key tag digest = string_of_int (tag_index tag) ^ digest
 
-let recheck_stats c =
-  Mutex.lock c.mutex;
-  let s = c.recheck in
-  Mutex.unlock c.mutex;
-  s
+let lookup c tag digest =
+  locked c (fun () ->
+      let e = Lru.find c.store (key tag digest) in
+      let counts = if Option.is_none e then c.misses else c.hits in
+      let i = tag_index tag in
+      counts.(i) <- counts.(i) + 1;
+      e)
 
-let tally c f =
-  Mutex.lock c.mutex;
-  c.recheck <- f c.recheck;
-  Mutex.unlock c.mutex
+let store c tag digest entry =
+  locked c (fun () -> Lru.put c.store (key tag digest) entry)
+
+type counts = { hits : int; misses : int }
+
+type stats = {
+  parse : counts;
+  lint : counts;
+  decide : counts;
+  decides : int;
+  entries : int;
+  evictions : int;
+}
+
+let stats (c : cache) =
+  locked c (fun () ->
+      let counts tag =
+        { hits = c.hits.(tag_index tag); misses = c.misses.(tag_index tag) }
+      in
+      {
+        parse = counts Parse;
+        lint = counts Lint;
+        decide = counts Decide;
+        decides = c.decides;
+        entries = Lru.length c.store;
+        evictions = Lru.evictions c.store;
+      })
 
 (* --- loading --- *)
 
@@ -186,10 +190,36 @@ let maybe_corrupt text =
     text ^ "\n!!chaos: injected malformed input!!\n"
   else text
 
+let model_name job =
+  match job.model with File path -> path | Inline { name; _ } -> name
+
+(* Parse a transition-system source through the cache, keyed on the model
+   name and the text: the cached diagnostics carry the name, so two
+   models with equal text must not share an entry. *)
+let parse_ts ?cache ~file text =
+  let text = maybe_corrupt text in
+  let parse () =
+    let diags = ref [] in
+    let collect d = diags := d :: !diags in
+    Result.map
+      (fun sys -> (sys, List.rev !diags))
+      (Ts_format.parse_ts_result ~on_diagnostic:collect ~file text)
+  in
+  match cache with
+  | None -> parse ()
+  | Some c -> (
+      let digest = Digest.to_hex (Digest.string (file ^ "\000" ^ text)) in
+      match lookup c Parse digest with
+      | Some (Parsed parsed) -> Ok parsed
+      | _ ->
+          let r = parse () in
+          Result.iter (fun parsed -> store c Parse digest (Parsed parsed)) r;
+          r)
+
 (* Parse the job's model to an untrimmed system plus its parse-time
-   diagnostics. Transition-system sources go through the cache (keyed on
-   a digest of the path and the source text); Petri-net files bypass
-   it — their reachability exploration must tick this request's budget. *)
+   diagnostics. Transition-system sources, from a file or inline, go
+   through the cache; Petri-net files bypass it — their reachability
+   exploration must tick this request's budget. *)
 let load_model ?cache ~budget job =
   match job.model with
   | File path when Filename.check_suffix path ".pn" ->
@@ -212,51 +242,8 @@ let load_model ?cache ~budget job =
           (fun sys -> (sys, List.rev !diags))
           (Ts_format.load_result ~on_diagnostic:collect ~budget
              ?bound:job.bound path)
-  | File path ->
-      Result.bind (read_file path) (fun text ->
-          let text = maybe_corrupt text in
-          (* the cached diagnostics carry [path]: two files with equal
-             text must not share an entry *)
-          let key = Digest.to_hex (Digest.string (path ^ "\x00" ^ text)) in
-          let cached =
-            match cache with
-            | None -> None
-            | Some c ->
-                Mutex.lock c.mutex;
-                let e = Lru.find c.lru key in
-                (match e with
-                | Some _ -> c.hits <- c.hits + 1
-                | None -> c.misses <- c.misses + 1);
-                Mutex.unlock c.mutex;
-                e
-          in
-          match cached with
-          | Some (sys, diags) -> Ok (sys, diags)
-          | None ->
-              let diags = ref [] in
-              let collect d = diags := d :: !diags in
-              Result.map
-                (fun sys ->
-                  let parsed = (sys, List.rev !diags) in
-                  (match cache with
-                  | Some c ->
-                      Mutex.lock c.mutex;
-                      Lru.put c.lru key parsed;
-                      Mutex.unlock c.mutex
-                  | None -> ());
-                  parsed)
-                (Ts_format.parse_ts_result ~on_diagnostic:collect ~file:path
-                   text))
-  | Inline { name; text } ->
-      let text = maybe_corrupt text in
-      let diags = ref [] in
-      let collect d = diags := d :: !diags in
-      Result.map
-        (fun sys -> (sys, List.rev !diags))
-        (Ts_format.parse_ts_result ~on_diagnostic:collect ~file:name text)
-
-let model_name job =
-  match job.model with File path -> path | Inline { name; _ } -> name
+  | File path -> Result.bind (read_file path) (parse_ts ?cache ~file:path)
+  | Inline { name; text } -> parse_ts ?cache ~file:name text
 
 (* serialize the full structure of a system into [b] — the shared tail of
    the decide and lint memo keys *)
@@ -323,12 +310,8 @@ let lint_key job ~formula (sys, parse_diags) =
    phase never consults the budget, so the report is a pure function of
    the key). Only the report is memoized — [Nfa.trim] is recomputed so
    the decide step always gets a fresh trimmed system. Fault-injection
-   runs bypass the memo: chaos must exercise the real passes. The third
-   component of [`Proceed] is the key this request stored, so the
-   incremental layer can spare it when it evicts the model's stale lint
-   entries. *)
+   runs bypass the memo: chaos must exercise the real passes. *)
 let lint_phase ?cache job ~formula (sys, parse_diags) =
-  let fresh_key = ref None in
   let diags =
     if job.no_lint then parse_diags
     else
@@ -344,28 +327,12 @@ let lint_phase ?cache job ~formula (sys, parse_diags) =
       in
       match cache with
       | Some c when not (Fault.armed ()) -> (
-          let key = lint_key job ~formula (sys, parse_diags) in
-          fresh_key := Some key;
-          Mutex.lock c.mutex;
-          let hit = Lru.find c.lint_memo key in
-          (match hit with
-          | Some _ -> c.lint_hits <- c.lint_hits + 1
-          | None -> c.lint_misses <- c.lint_misses + 1);
-          Mutex.unlock c.mutex;
-          match hit with
-          | Some ds -> ds
-          | None ->
+          let digest = lint_key job ~formula (sys, parse_diags) in
+          match lookup c Lint digest with
+          | Some (Linted ds) -> ds
+          | _ ->
               let ds = compute () in
-              let name = model_name job in
-              Mutex.lock c.mutex;
-              Lru.put c.lint_memo key ds;
-              let keys =
-                match Lru.find c.lint_index name with
-                | Some ks -> List.filter (fun k -> k <> key) ks
-                | None -> []
-              in
-              Lru.put c.lint_index name (key :: keys);
-              Mutex.unlock c.mutex;
+              store c Lint digest (Linted ds);
               ds)
       | _ -> compute ()
   in
@@ -379,7 +346,7 @@ let lint_phase ?cache job ~formula (sys, parse_diags) =
           "pre-flight lint failed (%s); rerun with --no-lint to proceed \
            anyway"
           (Diagnostic.summary visible) )
-  else `Proceed (visible, Nfa.trim sys, !fresh_key)
+  else `Proceed (visible, Nfa.trim sys)
 
 let parse_formula s =
   try Ok (Rl_ltl.Parser.parse s)
@@ -450,29 +417,7 @@ let budget_of_job job =
 
 (* --- incremental re-check ---
 
-   The daemon sees the same models resubmitted in a check–edit–recheck
-   loop. Per model name, [cache.history] keeps the last version that
-   reached the decide step: its parsed system, and the Simcache keys its
-   decide touched (recorded with [Simcache.with_observer]). A
-   resubmission is diffed against that version ([Ts_diff]) to classify
-   the edit: [Identical]/[Equivalent] leave every cached preorder live;
-   [Local]/[Global] mean the recorded keys are dead weight — content-
-   addressed keys of an edited-away structure can never be hit again —
-   so they are evicted eagerly instead of waiting for LRU pressure.
-
-   Independently, [cache.memo] memoizes decide *outcomes*, keyed on a
-   digest of the exact decide input ([decide_key]): when an edit leaves
-   the trimmed system intact — a byte-identical resubmission, a comment
-   or formatting change, or an edit confined to the unreachable region —
-   the memoized verdict is replayed without re-deciding. Soundness does
-   not lean on the diff analysis: equal keys mean the decide step would
-   receive bit-for-bit the same input. The lint phase has its own memo
-   ([cache.lint_memo]) with a stricter key — the {e untrimmed} system
-   plus the parse diagnostics — because an unreachable-region edit
-   leaves the trimmed system alone but can change diagnostics (and an
-   Error diagnostic blocks the check); a reachable edit additionally
-   evicts the model's stale lint entries ([invalidate_lint]).
-
+   Decide outcomes are memoized in the request cache under [decide_key].
    Memoization is bypassed whenever the outcome could be run-dependent:
    a wall-clock [timeout] (the one budget limit that is not a function
    of the input), or armed fault injection (chaos runs must exercise the
@@ -497,107 +442,30 @@ let decide_key job f ts =
   add_system b ts;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* A reachable edit makes the previous version's lint reports dead
-   weight (their keys embed the old untrimmed structure and can never be
-   hit again), so evict them eagerly — all but [fresh_lint], the entry
-   this very request just stored for the new version. *)
-let invalidate_lint c name ~fresh_lint =
-  Mutex.lock c.mutex;
-  (match Lru.find c.lint_index name with
-  | None -> ()
-  | Some keys ->
-      let live, dead =
-        List.partition (fun k -> Some k = fresh_lint) keys
-      in
-      List.iter
-        (fun k ->
-          if Lru.remove c.lint_memo k then
-            c.lint_invalidated <- c.lint_invalidated + 1)
-        dead;
-      Lru.put c.lint_index name live);
-  Mutex.unlock c.mutex
-
-(* classify the edit against the model's previous version, evict the
-   keys a reachable edit killed; feeds only stats and the caches *)
-let note_edit c name sys ~fresh_lint =
-  Mutex.lock c.mutex;
-  let prev = Lru.find c.history name in
-  Mutex.unlock c.mutex;
-  match prev with
-  | None -> tally c (fun r -> { r with new_models = r.new_models + 1 })
-  | Some v -> (
-      let d = Ts_diff.compute ~old_:v.v_sys ~next:sys in
-      match Ts_diff.classify ~old_:v.v_sys ~next:sys d with
-      | Ts_diff.Identical ->
-          tally c (fun r -> { r with identical = r.identical + 1 })
-      | Ts_diff.Equivalent ->
-          tally c (fun r -> { r with equivalent = r.equivalent + 1 })
-      | Ts_diff.Local _ ->
-          List.iter Simcache.remove v.v_keys;
-          invalidate_lint c name ~fresh_lint;
-          tally c (fun r -> { r with local = r.local + 1 })
-      | Ts_diff.Global _ ->
-          List.iter Simcache.remove v.v_keys;
-          invalidate_lint c name ~fresh_lint;
-          tally c (fun r -> { r with global = r.global + 1 }))
-
-let record_version c name sys keys =
-  Mutex.lock c.mutex;
-  Lru.put c.history name { v_sys = sys; v_keys = keys };
-  Mutex.unlock c.mutex
-
-(* the decide step behind the memo and the per-model history; returns
-   the verdict plus the states count to report when the decide itself
-   was skipped. Without a cache (the CLI) this is just [decide]. *)
-let decide_incremental ?pool ?cache ?(fresh_lint = None) ~budget ~fresh job f
-    ~parsed_sys ts =
+(* the decide step behind the outcome memo; returns the verdict plus the
+   states count to report when the decide itself was skipped. Without a
+   cache (the CLI) this is just [decide]. *)
+let decide_incremental ?pool ?cache ~budget ~fresh job f ts =
   match cache with
   | None -> (decide ?pool ~budget ~fresh job f ts, None)
   | Some c -> (
-      let name = model_name job in
-      note_edit c name parsed_sys ~fresh_lint;
-      let key =
+      let digest =
         if decide_memoizable job then Some (decide_key job f ts) else None
       in
-      let hit =
-        match key with
-        | None -> None
-        | Some k ->
-            Mutex.lock c.mutex;
-            let o = Lru.find c.memo k in
-            Mutex.unlock c.mutex;
-            o
-      in
-      match hit with
-      | Some o ->
-          tally c (fun r -> { r with memo_hits = r.memo_hits + 1 });
-          record_version c name parsed_sys o.o_keys;
-          (o.o_verdict, Some o.o_states)
-      | None ->
-          tally c (fun r -> { r with decides = r.decides + 1 });
-          let observed = ref [] in
-          let verdict =
-            Simcache.with_observer
-              (fun k -> observed := k :: !observed)
-              (fun () -> decide ?pool ~budget ~fresh job f ts)
-          in
-          let keys =
-            List.sort_uniq String.compare (Preorder.cache_keys ts @ !observed)
-          in
-          record_version c name parsed_sys keys;
-          (match key with
-          | Some k ->
-              let o =
-                {
-                  o_verdict = verdict;
-                  o_states = Budget.states_explored budget;
-                  o_keys = keys;
-                }
-              in
-              Mutex.lock c.mutex;
-              Lru.put c.memo k o;
-              Mutex.unlock c.mutex
-          | None -> ());
+      match Option.bind digest (lookup c Decide) with
+      | Some (Decided o) -> (o.o_verdict, Some o.o_states)
+      | _ ->
+          locked c (fun () -> c.decides <- c.decides + 1);
+          let verdict = decide ?pool ~budget ~fresh job f ts in
+          Option.iter
+            (fun d ->
+              store c Decide d
+                (Decided
+                   {
+                     o_verdict = verdict;
+                     o_states = Budget.states_explored budget;
+                   }))
+            digest;
           (verdict, None))
 
 let run ?pool ?cache ?budget job =
@@ -647,10 +515,9 @@ let run ?pool ?cache ?budget job =
                 | `Blocked (visible, summary) ->
                     finish ~diagnostics:visible ~blocked_summary:summary
                       Blocked ""
-                | `Proceed (visible, ts, fresh_lint) -> (
+                | `Proceed (visible, ts) -> (
                     let verdict, states =
-                      decide_incremental ?pool ?cache ~fresh_lint ~budget
-                        ~fresh job f ~parsed_sys:(fst parsed) ts
+                      decide_incremental ?pool ?cache ~budget ~fresh job f ts
                     in
                     match verdict with
                     | `Holds message ->

@@ -74,57 +74,53 @@ type reply = {
     4 budget exhausted. *)
 val exit_code : reply -> int
 
-(** {2 Cross-request model cache}
+(** {2 Request cache}
 
-    The daemon parses the same models over and over; a cache keyed on a
-    digest of the model source (plus the Petri bound) skips re-parsing.
-    Bounded LRU — a hostile stream of distinct models costs evictions,
-    not memory. Petri-net {e files} bypass the cache (their reachability
-    exploration is budget-ticked per request). *)
+    The daemon checks the same models over and over, in a
+    check–edit–recheck loop. One bounded LRU memoizes the three
+    deterministic stages of a request, each keyed on a digest of exactly
+    the input that stage consumes:
+    - the parse of a [.ts] model, file or inline (model name and source
+      text);
+    - the pre-flight lint report (model name, formula, the {e untrimmed}
+      system and its parse diagnostics);
+    - the decide outcome (check kind, formula, state limit and the
+      {e trimmed} system).
+
+    Content addressing is the whole soundness argument: equal keys mean
+    the stage would receive bit-for-bit the same input, so a hit replays
+    exactly what a from-scratch run computes. A byte-identical
+    resubmission replays all three; an edit confined to the unreachable
+    region re-parses and re-lints (its diagnostics may differ) but
+    replays the verdict; a reachable edit re-decides. Entries of an
+    edited-away version can never be hit again and are evicted by LRU
+    pressure — a hostile stream of distinct models costs evictions, not
+    memory. Petri-net files bypass the cache (their reachability
+    exploration is budget-ticked per request). The decide memo is
+    disabled for jobs with a wall-clock [timeout] and while fault
+    injection is armed (which also bypasses the lint memo), so an
+    incremental verdict is always the verdict a from-scratch run would
+    produce. *)
 
 type cache
 
+(** [cache ~capacity ()] holds at most [3 * capacity] entries — one unit
+    of capacity is one model's parse, lint report and verdict
+    ([capacity <= 0] = unbounded). *)
 val cache : capacity:int -> unit -> cache
 
-(** [(hits, misses, entries, evictions)] *)
-val cache_stats : cache -> int * int * int * int
+type counts = { hits : int; misses : int }
 
-(** [(hits, misses, entries, invalidated)] for the lint-report memo: a
-    hit replays the pre-flight diagnostic list without re-running the
-    passes; [invalidated] counts entries evicted eagerly because a
-    reachable ([Local]/[Global]) edit made them unreachable forever. *)
-val lint_stats : cache -> int * int * int * int
-
-(** {2 Incremental re-check}
-
-    Per model name, the cache also remembers the last version that
-    reached the decide step, and memoizes decide outcomes keyed on a
-    digest of the exact decide input (trimmed system, kind, formula,
-    state limit). A resubmission whose edit leaves the trimmed system
-    intact — byte-identical source, comment/formatting changes, or
-    edits confined to the unreachable region ([Ts_diff.Equivalent]) —
-    replays the memoized verdict without re-deciding; the lint phase is
-    memoized separately under a stricter key (the {e untrimmed} system
-    plus its parse diagnostics — see {!lint_stats}), so a memoized lint
-    report is replayed only when the submitted source could not have
-    changed it. Reachable edits re-decide from scratch,
-    and the Simcache entries the old version's decide had fingerprinted
-    are evicted eagerly (they are content-addressed and can never be
-    hit again). Memoization is disabled for jobs with a wall-clock
-    [timeout] and while fault injection is armed, so an incremental
-    verdict is always the verdict a from-scratch run would produce. *)
-
-type recheck_stats = {
-  new_models : int;  (** first sighting of a model name *)
-  identical : int;  (** resubmission with no structural change *)
-  equivalent : int;  (** edit confined to the unreachable region *)
-  local : int;  (** small reachable edit; precise invalidation *)
-  global : int;  (** large or ambiguous edit; treated as a new model *)
-  memo_hits : int;  (** decide runs skipped by the outcome memo *)
+type stats = {
+  parse : counts;  (** model-parse lookups *)
+  lint : counts;  (** lint-report lookups; a hit skips the passes *)
+  decide : counts;  (** decide-outcome lookups; a hit skips the decide *)
   decides : int;  (** decide runs actually executed under this cache *)
+  entries : int;  (** entries held, all three kinds *)
+  evictions : int;  (** entries dropped by the LRU bound *)
 }
 
-val recheck_stats : cache -> recheck_stats
+val stats : cache -> stats
 
 (** [budget_of_job job] is a fresh budget carrying the job's
     [max_states]/[timeout] limits — what {!run} creates when no budget

@@ -5,7 +5,7 @@
     moves string hashing to alphabet construction time: once two
     alphabets are built, deciding whether their symbols denote the same
     action — alphabet equality, union-alphabet deduplication in
-    [compose], transition diffing in [Ts_diff] — is integer work.
+    [compose], symbol remapping between alphabets — is integer work.
 
     Ids are allocated in first-intern order, never freed, and stable for
     the process lifetime; the table only grows. Model alphabets are tiny

@@ -114,62 +114,6 @@ let test_load_warning_file_context () =
         !typed2;
       Alcotest.(check bool) "result diagnostics fired" true (!typed2 <> []))
 
-(* --- ts_diff: the analysis behind the service's incremental re-check --- *)
-
-let parse = Ts_format.parse_ts
-
-let test_ts_diff_identical () =
-  let a = parse "initial 0\n0 a 1\n1 b 0\n" in
-  (* formatting and comments collapse; so does alphabet-line reordering,
-     because transitions compare by label name *)
-  let b = parse "# v2\n\ninitial 0\n0 a 1\n1 b 0\n" in
-  let d = Ts_diff.compute ~old_:a ~next:b in
-  Alcotest.(check bool) "empty diff" true (Ts_diff.is_empty d);
-  Alcotest.(check int) "size 0" 0 (Ts_diff.size d);
-  match Ts_diff.classify ~old_:a ~next:b d with
-  | Ts_diff.Identical -> ()
-  | _ -> Alcotest.fail "expected Identical"
-
-let test_ts_diff_equivalent_unreachable () =
-  let a = parse "initial 0\n0 a 1\n1 b 0\n" in
-  let b = parse "initial 0\n0 a 1\n1 b 0\n7 a 8\n8 b 7\n" in
-  let d = Ts_diff.compute ~old_:a ~next:b in
-  Alcotest.(check bool) "diff is nonempty" false (Ts_diff.is_empty d);
-  (match Ts_diff.classify ~old_:a ~next:b d with
-  | Ts_diff.Equivalent -> ()
-  | _ -> Alcotest.fail "unreachable-only edit must classify Equivalent");
-  Alcotest.(check bool) "the trims are structurally equal" true
-    (Ts_diff.structural_equal (Nfa.trim a) (Nfa.trim b))
-
-let test_ts_diff_local_and_global () =
-  let a =
-    parse "initial 0\n0 a 1\n1 b 2\n2 c 0\n2 a 1\n1 a 1\n0 b 0\n2 b 2\n0 c 2\n"
-  in
-  (* retarget one of eight transitions: 2 changes / 8 = 0.25, the Local
-     boundary *)
-  let b =
-    parse "initial 0\n0 a 1\n1 b 2\n2 c 0\n2 a 1\n1 a 1\n0 b 0\n2 b 2\n0 c 1\n"
-  in
-  let d = Ts_diff.compute ~old_:a ~next:b in
-  Alcotest.(check int) "one added, one removed" 2 (Ts_diff.size d);
-  Alcotest.(check (list int)) "touched states" [ 0; 1; 2 ] (Ts_diff.touched d);
-  (match Ts_diff.classify ~old_:a ~next:b d with
-  | Ts_diff.Local { ratio; _ } ->
-      Alcotest.(check (float 1e-9)) "ratio" 0.25 ratio
-  | _ -> Alcotest.fail "expected Local");
-  (* an initial-state change is always Global *)
-  let c = parse "initial 1\n0 a 1\n1 b 2\n2 c 0\n2 a 1\n1 a 1\n0 b 0\n2 b 2\n0 c 2\n" in
-  let d2 = Ts_diff.compute ~old_:a ~next:c in
-  (match Ts_diff.classify ~old_:a ~next:c d2 with
-  | Ts_diff.Global _ -> ()
-  | _ -> Alcotest.fail "initial-state change must classify Global");
-  (* so is touching more than max_ratio of the transitions *)
-  let e = parse "initial 0\n0 a 2\n1 b 0\n2 c 1\n2 a 0\n1 a 2\n0 b 1\n2 b 0\n0 c 0\n" in
-  let d3 = Ts_diff.compute ~old_:a ~next:e in
-  match Ts_diff.classify ~old_:a ~next:e d3 with
-  | Ts_diff.Global _ -> ()
-  | _ -> Alcotest.fail "a rewrite of most transitions must classify Global"
-
 (* randomized roundtrip: print then parse preserves the language *)
 let prop_roundtrip =
   QCheck2.Test.make ~name:"print_ts / parse_ts roundtrip preserves language"
@@ -199,15 +143,6 @@ let () =
           Alcotest.test_case "print/parse roundtrip" `Quick test_print_parse_roundtrip;
           Alcotest.test_case "diagnostics carry file context" `Quick
             test_load_warning_file_context;
-        ] );
-      ( "ts-diff",
-        [
-          Alcotest.test_case "identical sources, empty diff" `Quick
-            test_ts_diff_identical;
-          Alcotest.test_case "unreachable edits are equivalent" `Quick
-            test_ts_diff_equivalent_unreachable;
-          Alcotest.test_case "local vs global classification" `Quick
-            test_ts_diff_local_and_global;
         ] );
       ( "petri-nets",
         [

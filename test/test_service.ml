@@ -192,13 +192,8 @@ let test_lru_eviction () =
   Alcotest.(check int) "set_capacity trims to the new bound" 1 (Lru.length t);
   Alcotest.(check (list string)) "most recent survives the trim" [ "a" ]
     (Lru.keys t);
-  Alcotest.(check bool) "remove drops a present entry" true (Lru.remove t "a");
-  Alcotest.(check (option int)) "removed entry is gone" None (Lru.find t "a");
-  Alcotest.(check bool) "remove of a missing key reports false" false
-    (Lru.remove t "a");
-  (* one eviction from the capacity-2 overflow, one from the trim —
-     remove itself adds none *)
-  Alcotest.(check int) "removal is not an LRU eviction" 2 (Lru.evictions t)
+  (* one eviction from the capacity-2 overflow, one from the trim *)
+  Alcotest.(check int) "trim evictions counted" 2 (Lru.evictions t)
 
 let test_lru_unbounded () =
   let t = Lru.create ~capacity:0 () in
@@ -380,10 +375,11 @@ let test_request_model_cache () =
       let job = Request.job Request.Rl (Request.File path) "[]<>result" in
       let a = run ~cache job in
       let b = run ~cache job in
-      let hits, misses, entries, _ = Request.cache_stats cache in
-      Alcotest.(check int) "first load misses" 1 misses;
-      Alcotest.(check int) "second load hits" 1 hits;
-      Alcotest.(check int) "one entry" 1 entries;
+      let s = Request.stats cache in
+      Alcotest.(check int) "first load misses" 1 s.Request.parse.misses;
+      Alcotest.(check int) "second load hits" 1 s.Request.parse.hits;
+      Alcotest.(check int) "one parse, one lint report, one verdict" 3
+        s.Request.entries;
       Alcotest.(check bool) "verdicts identical across the cache" true
         (a.Request.status = b.Request.status
         && a.Request.message = b.Request.message);
@@ -425,19 +421,14 @@ let test_request_model_cache_path () =
 
 (* --- incremental re-check --- *)
 
-module Simcache = Rl_engine.Simcache
-
 let test_incremental_memo_hit () =
   let cache = Request.cache ~capacity:8 () in
   let job = Request.job Request.Rl (inline "srv" server) "[]<>result" in
   let a = run ~cache job in
   let b = run ~cache job in
-  let s = Request.recheck_stats cache in
-  Alcotest.(check int) "first sighting counted" 1 s.Request.new_models;
-  Alcotest.(check int) "resubmission classified identical" 1
-    s.Request.identical;
+  let s = Request.stats cache in
   Alcotest.(check int) "one real decide" 1 s.Request.decides;
-  Alcotest.(check int) "one memo hit" 1 s.Request.memo_hits;
+  Alcotest.(check int) "one memo hit" 1 s.Request.decide.hits;
   Alcotest.(check bool) "replayed reply is byte-identical" true
     (reply_repr a = reply_repr b && a.Request.states = b.Request.states)
 
@@ -450,17 +441,16 @@ let test_incremental_unreachable_edit () =
   (* the edit adds a component unreachable from the initial state; the
      trimmed system the decide consumes is untouched *)
   let b = run ~cache (j (server ^ "7 request 8\n8 result 7\n8 reject 7\n")) in
-  let s = Request.recheck_stats cache in
-  Alcotest.(check int) "edit classified equivalent" 1 s.Request.equivalent;
-  Alcotest.(check int) "the decide was skipped" 1 s.Request.memo_hits;
+  let s = Request.stats cache in
+  Alcotest.(check int) "the decide was skipped" 1 s.Request.decide.hits;
   Alcotest.(check int) "one real decide" 1 s.Request.decides;
   Alcotest.(check bool) "verdict replayed exactly" true
     (reply_repr a = reply_repr b)
 
+(* a reachable edit changes the decide key: the old version's verdict
+   can never be hit again, and the new one is decided for real *)
 let test_incremental_invalidation () =
   let cache = Request.cache ~capacity:8 () in
-  (* eight transitions, so retargeting one is a 2/8 = 0.25 edit — within
-     the Local ratio *)
   let base =
     "initial 0\n0 a 1\n1 b 2\n2 c 0\n2 a 1\n1 a 1\n0 b 0\n2 b 2\n0 c 2\n"
   in
@@ -468,16 +458,12 @@ let test_incremental_invalidation () =
     "initial 0\n0 a 1\n1 b 2\n2 c 0\n2 a 1\n1 a 1\n0 b 0\n2 b 2\n0 c 1\n"
   in
   let j text = Request.job ~no_lint:true Request.Rl (inline "ed" text) "[]<>a" in
-  let before = Simcache.invalidated () in
   ignore (run ~cache (j base));
   ignore (run ~cache (j edit));
-  let s = Request.recheck_stats cache in
-  Alcotest.(check int) "edit classified local" 1 s.Request.local;
+  let s = Request.stats cache in
   Alcotest.(check int) "no memo hit across a reachable edit" 0
-    s.Request.memo_hits;
-  Alcotest.(check int) "both versions decided for real" 2 s.Request.decides;
-  Alcotest.(check bool) "the old version's fingerprints were evicted" true
-    (Simcache.invalidated () > before)
+    s.Request.decide.hits;
+  Alcotest.(check int) "both versions decided for real" 2 s.Request.decides
 
 let test_incremental_timeout_bypasses_memo () =
   let cache = Request.cache ~capacity:8 () in
@@ -486,8 +472,9 @@ let test_incremental_timeout_bypasses_memo () =
   in
   let a = run ~cache job in
   let b = run ~cache job in
-  let s = Request.recheck_stats cache in
-  Alcotest.(check int) "wall-clock jobs never memo-hit" 0 s.Request.memo_hits;
+  let s = Request.stats cache in
+  Alcotest.(check int) "wall-clock jobs never memo-hit" 0
+    s.Request.decide.hits;
   Alcotest.(check int) "both runs decide" 2 s.Request.decides;
   Alcotest.(check bool) "verdicts still agree" true (reply_repr a = reply_repr b)
 
@@ -496,11 +483,9 @@ let test_lint_memo_hit () =
   let job = Request.job Request.Rl (inline "srv" server) "[]<>result" in
   let a = run ~cache job in
   let b = run ~cache job in
-  let hits, misses, entries, invalidated = Request.lint_stats cache in
-  Alcotest.(check int) "first run misses the lint memo" 1 misses;
-  Alcotest.(check int) "resubmission hits it" 1 hits;
-  Alcotest.(check int) "one memoized report" 1 entries;
-  Alcotest.(check int) "nothing invalidated" 0 invalidated;
+  let s = Request.stats cache in
+  Alcotest.(check int) "first run misses the lint memo" 1 s.Request.lint.misses;
+  Alcotest.(check int) "resubmission hits it" 1 s.Request.lint.hits;
   Alcotest.(check bool) "diagnostics replayed identically" true
     (a.Request.diagnostics = b.Request.diagnostics)
 
@@ -508,17 +493,39 @@ let test_lint_memo_invalidation () =
   let cache = Request.cache ~capacity:8 () in
   let j text = Request.job Request.Rl (inline "g" text) "[]<>a" in
   ignore (run ~cache (j "initial 0\n0 a 1\n1 b 0\n"));
-  (* an initial-state change always classifies Global: the previous
-     version's lint report can never be requested again, so it is
-     evicted eagerly rather than waiting for LRU pressure *)
+  (* an initial-state change rewrites the whole lint key: the previous
+     version's report can never be requested again *)
   ignore (run ~cache (j "initial 1\n0 a 1\n1 b 0\n"));
-  let s = Request.recheck_stats cache in
-  Alcotest.(check int) "edit classified global" 1 s.Request.global;
-  let hits, misses, entries, invalidated = Request.lint_stats cache in
-  Alcotest.(check int) "no lint hit across the edit" 0 hits;
-  Alcotest.(check int) "both versions linted for real" 2 misses;
-  Alcotest.(check int) "the stale report was evicted" 1 invalidated;
-  Alcotest.(check int) "only the new report remains" 1 entries
+  let s = Request.stats cache in
+  Alcotest.(check int) "no lint hit across the edit" 0 s.Request.lint.hits;
+  Alcotest.(check int) "both versions linted for real" 2 s.Request.lint.misses
+
+let test_inline_parse_hit () =
+  let cache = Request.cache ~capacity:8 () in
+  let job = Request.job Request.Rl (inline "srv" server) "[]<>result" in
+  let a = run ~cache job in
+  let b = run ~cache job in
+  let s = Request.stats cache in
+  Alcotest.(check int) "first parse misses" 1 s.Request.parse.misses;
+  Alcotest.(check int) "identical inline resubmission hits" 1
+    s.Request.parse.hits;
+  Alcotest.(check bool) "replies identical across the hit" true
+    (reply_repr a = reply_repr b)
+
+(* one unit of capacity is one model's parse, lint report and verdict *)
+let test_cache_bounded () =
+  let cache = Request.cache ~capacity:4 () in
+  for i = 1 to 50 do
+    let text = Printf.sprintf "%s1 s%d 1\n" server i in
+    ignore
+      (run ~cache
+         (Request.job Request.Rl (inline (Printf.sprintf "m%d" i) text)
+            "[]<>result"))
+  done;
+  let s = Request.stats cache in
+  Alcotest.(check bool) "at most 3 * capacity entries" true
+    (s.Request.entries <= 12);
+  Alcotest.(check bool) "distinct models evict" true (s.Request.evictions > 0)
 
 (* --- supervisor --- *)
 
@@ -1165,6 +1172,10 @@ let () =
             test_request_model_cache;
           Alcotest.test_case "model cache keys on the file path" `Quick
             test_request_model_cache_path;
+          Alcotest.test_case "identical inline resubmission hits the parse"
+            `Quick test_inline_parse_hit;
+          Alcotest.test_case "distinct models stay within 3 * capacity"
+            `Quick test_cache_bounded;
         ] );
       ( "incremental",
         [
