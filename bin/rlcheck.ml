@@ -420,10 +420,12 @@ let run_decompose path formula_src max_states bound jobs no_lint =
   let* f = parse_formula formula_src in
   let* ts = load_and_lint ?bound ~formula:f ~no_lint path in
   let alpha = Nfa.alphabet ts in
+  let budget = Budget.create ?max_states () in
   let b =
-    Rl_ltl.Translate.to_buchi ~alphabet:alpha
-      ~labeling:(Rl_ltl.Semantics.canonical alpha)
-      f
+    Budget.with_phase budget "translate property" (fun () ->
+        Rl_ltl.Translate.to_buchi ~budget ~alphabet:alpha
+          ~labeling:(Rl_ltl.Semantics.canonical alpha)
+          f)
   in
   Format.printf "property automaton: %d states@." (Buchi.states b);
   (* the three per-property checks are independent: fan them out. The

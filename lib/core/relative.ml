@@ -15,10 +15,8 @@ let ltl ?labeling alphabet f =
   Ltl { formula = f; labeling }
 
 let property_buchi ?budget alphabet = function
-  | Auto b ->
-      ignore budget;
-      b
-  | Ltl { formula; labeling } -> Translate.to_buchi ~alphabet ~labeling formula
+  | Auto b -> b
+  | Ltl { formula; labeling } -> Translate.to_buchi ?budget ~alphabet ~labeling formula
 
 let property_neg_buchi ?budget ?(reduce = true) alphabet = function
   | Auto b ->
@@ -27,7 +25,7 @@ let property_neg_buchi ?budget ?(reduce = true) alphabet = function
       let b = if reduce then Reduce.quotient b else b in
       Complement.complement ?budget b
   | Ltl { formula; labeling } ->
-      Translate.to_buchi_neg ~alphabet ~labeling formula
+      Translate.to_buchi_neg ?budget ~alphabet ~labeling formula
 
 (* Quotient-before-explore: the deciders below shrink their operands by
    the cached simulation preorders — Büchi automata through

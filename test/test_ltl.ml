@@ -195,6 +195,18 @@ let prop_translation_neg_is_complement =
       let b = Translate.to_buchi_neg ~alphabet:ab ~labeling:lam f in
       Buchi.member b x = not (sat x f))
 
+(* [f ∨ X^64 false] has f's language and a closure wider than one
+   machine word, so it runs the tableau over multi-word bitsets. *)
+let prop_translation_wide_closure =
+  QCheck2.Test.make ~name:"to_buchi over a closure wider than a word" ~count:200
+    QCheck2.Gen.(pair gen_formula gen_lasso_ab)
+    (fun (f, x) ->
+      let rec pad k g = if k = 0 then g else pad (k - 1) (Formula.Next g) in
+      let wide = Formula.Or (f, pad 64 Formula.False) in
+      let b = Translate.to_buchi ~alphabet:ab ~labeling:lam wide in
+      Buchi.member b x = sat x f
+      && Buchi.states b = Buchi.states (Translate.to_buchi ~alphabet:ab ~labeling:lam f))
+
 let test_translation_units () =
   let b = Translate.to_buchi ~alphabet:ab ~labeling:lam (parse "[]<> a") in
   Alcotest.(check bool) "(ab)^ω ⊨ □◇a" true (Buchi.member b (lasso [] [ "a"; "b" ]));
@@ -203,6 +215,272 @@ let test_translation_units () =
   Alcotest.(check bool) "false is empty" true (Buchi.is_empty c);
   let t = Translate.to_buchi ~alphabet:ab ~labeling:lam (parse "true") in
   Alcotest.(check bool) "true accepts" true (Buchi.member t (lasso [] [ "b" ]))
+
+(* --- the formula-set GPVW tableau, kept as a reference ---
+
+   The translator as it was before closure numbering and node merging:
+   [FSet]s of formula trees, a linear node search keyed on (old, next),
+   and incoming lists that repeat predecessors. The properties below pin
+   the new translator against it: same language, never more states. *)
+
+module Reference = struct
+  module FSet = Set.Make (struct
+    type t = Formula.t
+
+    let compare = Formula.compare
+  end)
+
+  (* GPVW tableau node. [old_] holds the processed obligations for the
+     current position (literals constrain the letter read when leaving the
+     node); [next_] holds obligations passed to the successor position. *)
+  type node = {
+    id : int;
+    mutable incoming : int list; (* -1 stands for the virtual initial node *)
+    new_ : FSet.t;
+    old_ : FSet.t;
+    next_ : FSet.t;
+  }
+
+  let contradicts old_ f =
+    match (f : Formula.t) with
+    | True -> false
+    | False -> true
+    | Atom _ -> FSet.mem (Formula.Not f) old_
+    | Not (Atom _ as a) -> FSet.mem a old_
+    | _ -> false
+
+  let is_literal (f : Formula.t) =
+    match f with True | False | Atom _ | Not (Atom _) -> true | _ -> false
+
+  let to_buchi ~alphabet ~labeling f =
+    let f = Formula.nnf f in
+    let counter = ref 0 in
+    let fresh () =
+      let id = !counter in
+      incr counter;
+      id
+    in
+    let nodes : node list ref = ref [] in
+    (* expand is the core GPVW recursion over unprocessed obligations. *)
+    let rec expand node =
+      match FSet.choose_opt node.new_ with
+      | None -> (
+          match
+            List.find_opt
+              (fun nd -> FSet.equal nd.old_ node.old_ && FSet.equal nd.next_ node.next_)
+              !nodes
+          with
+          | Some nd -> nd.incoming <- node.incoming @ nd.incoming
+          | None ->
+              nodes := node :: !nodes;
+              expand
+                {
+                  id = fresh ();
+                  incoming = [ node.id ];
+                  new_ = node.next_;
+                  old_ = FSet.empty;
+                  next_ = FSet.empty;
+                })
+      | Some eta -> (
+          let new_ = FSet.remove eta node.new_ in
+          if is_literal eta then begin
+            if not (contradicts node.old_ eta || eta = Formula.False) then
+              expand { node with new_; old_ = FSet.add eta node.old_ }
+            (* else: inconsistent node, discarded *)
+          end
+          else
+            match eta with
+            | Formula.And (g, h) ->
+                let add f s = if FSet.mem f node.old_ then s else FSet.add f s in
+                expand
+                  { node with new_ = add g (add h new_); old_ = FSet.add eta node.old_ }
+            | Formula.Or (g, h) ->
+                let old_ = FSet.add eta node.old_ in
+                expand { node with id = node.id; new_ = FSet.add g new_; old_ };
+                expand { id = fresh (); incoming = node.incoming; new_ = FSet.add h new_; old_; next_ = node.next_ }
+            | Formula.Next g ->
+                expand
+                  {
+                    node with
+                    new_;
+                    old_ = FSet.add eta node.old_;
+                    next_ = FSet.add g node.next_;
+                  }
+            | Formula.Until (g, h) ->
+                let old_ = FSet.add eta node.old_ in
+                expand
+                  {
+                    node with
+                    new_ = FSet.add g new_;
+                    old_;
+                    next_ = FSet.add eta node.next_;
+                  };
+                expand
+                  { id = fresh (); incoming = node.incoming; new_ = FSet.add h new_; old_; next_ = node.next_ }
+            | Formula.Release (g, h) ->
+                let old_ = FSet.add eta node.old_ in
+                expand
+                  {
+                    node with
+                    new_ = FSet.add h new_;
+                    old_;
+                    next_ = FSet.add eta node.next_;
+                  };
+                expand
+                  {
+                    id = fresh ();
+                    incoming = node.incoming;
+                    new_ = FSet.add g (FSet.add h new_);
+                    old_;
+                    next_ = node.next_;
+                  }
+            | Formula.True | Formula.False | Formula.Atom _ | Formula.Not _
+            | Formula.Implies _ | Formula.Iff _ | Formula.Wuntil _
+            | Formula.Back _ | Formula.Eventually _ | Formula.Always _ ->
+                assert false (* nnf output contains none of these here *))
+    in
+    let root_id = fresh () in
+    expand
+      {
+        id = root_id;
+        incoming = [ -1 ];
+        new_ = FSet.singleton f;
+        old_ = FSet.empty;
+        next_ = FSet.empty;
+      };
+    let node_list = !nodes in
+    (* Dense renumbering: node ids are sparse (discarded branches). *)
+    let id_map = Hashtbl.create 16 in
+    List.iteri (fun i nd -> Hashtbl.add id_map nd.id i) node_list;
+    let n_nodes = List.length node_list in
+    let iota = n_nodes in
+    (* extra virtual initial state *)
+    let k = Alphabet.size alphabet in
+    (* A letter matches a node when it satisfies all its literals. *)
+    let letter_matches nd a =
+      let props = labeling a in
+      FSet.for_all
+        (fun lit ->
+          match (lit : Formula.t) with
+          | Atom p -> List.mem p props
+          | Not (Atom p) -> not (List.mem p props)
+          | True -> true
+          | _ -> true (* non-literals in old_ impose no letter constraint *))
+        nd.old_
+    in
+    let transitions = ref [] in
+    List.iter
+      (fun target ->
+        let tgt = Hashtbl.find id_map target.id in
+        let letters =
+          List.filter (letter_matches target) (List.init k Fun.id)
+        in
+        List.iter
+          (fun src_id ->
+            let src =
+              if src_id = -1 then iota
+              else
+                match Hashtbl.find_opt id_map src_id with
+                | Some s -> s
+                | None -> -1 (* source branch was discarded *)
+            in
+            if src >= 0 then
+              List.iter (fun a -> transitions := (src, a, tgt) :: !transitions) letters)
+          target.incoming)
+      node_list;
+    (* Acceptance: one set per until subformula g U h:
+       nodes with  (g U h ∉ old) ∨ (h ∈ old). *)
+    let untils =
+      List.filter
+        (fun g -> match (g : Formula.t) with Until _ -> true | _ -> false)
+        (Formula.subformulas f)
+    in
+    let accepting_sets =
+      List.map
+        (fun u ->
+          let h = match (u : Formula.t) with Until (_, h) -> h | _ -> assert false in
+          List.filter_map
+            (fun nd ->
+              if (not (FSet.mem u nd.old_)) || FSet.mem h nd.old_ then
+                Some (Hashtbl.find id_map nd.id)
+              else None)
+            node_list)
+        untils
+    in
+    let g =
+      Buchi.Gba.create ~alphabet ~states:(n_nodes + 1) ~initial:[ iota ]
+        ~accepting_sets ~transitions:!transitions ()
+    in
+    Buchi.trim (Buchi.Gba.degeneralize g)
+end
+
+let ref_buchi f = Reference.to_buchi ~alphabet:ab ~labeling:lam f
+let new_buchi f = Translate.to_buchi ~alphabet:ab ~labeling:lam f
+
+(* On 150 formulas drawn from [gen_formula] with a fixed seed, for f and
+   ¬f: new ∩ ref(¬·) is empty (sound), ref ∩ complement(new) is empty
+   (complete, decided when the complement fits in 300 states) and new has
+   at most as many states as ref. At least half the cases must be
+   decided, so completeness cannot pass vacuously. *)
+let test_reference_translator () =
+  let rand = Random.State.make [| 17 |] in
+  let formulas = QCheck2.Gen.generate ~rand ~n:150 gen_formula in
+  let decided = ref 0 and cases = ref 0 in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun g ->
+          let name = Formula.to_string g in
+          let b = new_buchi g and r = ref_buchi g in
+          let r_neg = ref_buchi (Formula.not_ g) in
+          incr cases;
+          Alcotest.(check bool) ("sound: " ^ name) true (Buchi.is_empty (Buchi.inter b r_neg));
+          Alcotest.(check bool)
+            ("no larger: " ^ name) true
+            (Buchi.states b <= Buchi.states r);
+          match Complement.complement ~max_states:300 b with
+          | c ->
+              incr decided;
+              Alcotest.(check bool) ("complete: " ^ name) true (Buchi.is_empty (Buchi.inter r c))
+          | exception Complement.Too_large _ -> ())
+        [ f; Formula.not_ f ])
+    formulas;
+  Alcotest.(check bool)
+    (Printf.sprintf "decided %d of %d" !decided !cases)
+    true
+    (2 * !decided >= !cases)
+
+(* The C1/C2 ladder [[]<> (a & X (b | ...))] over {a, b, c}: state counts
+   of to_buchi / to_buchi_neg at depths 0-3, each at most the reference
+   tableau's (3/3, 8/8, 70/97, 599/1386), and no state repeats a
+   successor on any letter. *)
+let test_ladder_sizes () =
+  let rec ladder d =
+    if d = 0 then "a" else Printf.sprintf "[]<> (a & X (b | %s))" (ladder (d - 1))
+  in
+  let labeling = Semantics.canonical abc in
+  let no_repeats b =
+    List.for_all
+      (fun q ->
+        List.for_all
+          (fun a ->
+            let succ = Buchi.successors b q a in
+            List.length (List.sort_uniq compare succ) = List.length succ)
+          (List.init (Alphabet.size abc) Fun.id))
+      (List.init (Buchi.states b) Fun.id)
+  in
+  List.iter
+    (fun (d, pos, neg) ->
+      let f = parse (ladder d) in
+      let b = Translate.to_buchi ~alphabet:abc ~labeling f in
+      let nb = Translate.to_buchi_neg ~alphabet:abc ~labeling f in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "depth %d states" d)
+        (pos, neg)
+        (Buchi.states b, Buchi.states nb);
+      Alcotest.(check bool) (Printf.sprintf "depth %d no repeats" d) true
+        (no_repeats b && no_repeats nb))
+    [ (0, 3, 3); (1, 6, 6); (2, 30, 49); (3, 129, 312) ]
 
 (* --- Σ-normal form --- *)
 
@@ -377,6 +655,7 @@ let qsuite =
       prop_expand_preserves;
       prop_translation_matches_semantics;
       prop_translation_neg_is_complement;
+      prop_translation_wide_closure;
       prop_sigma_normal_form;
       prop_lemma_7_5_weak;
       prop_lemma_7_5_strong;
@@ -405,7 +684,12 @@ let () =
             test_semantics_release_back;
         ] );
       ( "translation",
-        [ Alcotest.test_case "units" `Quick test_translation_units ] );
+        [
+          Alcotest.test_case "units" `Quick test_translation_units;
+          Alcotest.test_case "ladder sizes and shape" `Quick test_ladder_sizes;
+          Alcotest.test_case "reference translator: sound, complete, no larger"
+            `Quick test_reference_translator;
+        ] );
       ( "transform",
         [
           Alcotest.test_case "R̄ smoke" `Quick test_rbar_example;
