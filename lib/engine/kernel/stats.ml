@@ -244,7 +244,7 @@ let to_json ?(extra = []) s =
 
 (* --- GC tuning --- *)
 
-(* Defaults measured with [bench/campaign.ml] on the antichain families:
+(* Defaults measured with [bench/main.exe hotpath] on the antichain families:
    a 4M-word (32 MB) minor heap keeps frontier scratch out of the major
    heap between level boundaries, and space_overhead 200 halves major
    slice work on the long-lived CSR/arena arrays for a few percent of

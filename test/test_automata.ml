@@ -459,6 +459,49 @@ let prop_inclusion_equivalent =
       | Error w, Error _ -> Nfa.accepts n1 w <> Nfa.accepts n2 w
       | _ -> false)
 
+(* the length of a shortest word in L(a) \ L(b), by breadth-first search
+   over the product of the two subset automata; [None] when L(a) ⊆ L(b) *)
+let shortest_difference a b =
+  let da = Dfa.determinize a and db = Dfa.determinize b in
+  let k = Alphabet.size (Dfa.alphabet da) in
+  let seen = Hashtbl.create 64 and queue = Queue.create () in
+  let visit pq d =
+    if not (Hashtbl.mem seen pq) then begin
+      Hashtbl.add seen pq ();
+      Queue.add (pq, d) queue
+    end
+  in
+  visit (Dfa.initial da, Dfa.initial db) 0;
+  let rec bfs () =
+    match Queue.take_opt queue with
+    | None -> None
+    | Some ((p, q), d) ->
+        if Dfa.is_final da p && not (Dfa.is_final db q) then Some d
+        else begin
+          for s = 0 to k - 1 do
+            visit (Dfa.step da p s, Dfa.step db q s) (d + 1)
+          done;
+          bfs ()
+        end
+  in
+  bfs ()
+
+let prop_inclusion_witness_shortest =
+  QCheck2.Test.make
+    ~name:"inclusion witness is a shortest word of L(a) \\ L(b), both subsumptions"
+    ~count:500
+    QCheck2.Gen.(pair gen_nfa gen_nfa)
+    (fun (n1, n2) ->
+      let shortest = shortest_difference n1 n2 in
+      List.for_all
+        (fun subsumption ->
+          match (Inclusion.included ~subsumption n1 n2, shortest) with
+          | Ok (), None -> true
+          | Error w, Some d ->
+              Word.length w = d && Nfa.accepts n1 w && not (Nfa.accepts n2 w)
+          | _ -> false)
+        [ `Subset; `Simulation ])
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -468,6 +511,7 @@ let qsuite =
       prop_inclusion_single_letter;
       prop_inclusion_empty_initial;
       prop_inclusion_equivalent;
+      prop_inclusion_witness_shortest;
       prop_determinize_preserves;
       prop_minimize_preserves;
       prop_minimize_agrees_with_moore;
