@@ -12,31 +12,30 @@ type t = {
       (* the canonical flat transition table, built once per automaton;
          slice order equals the [delta] list order *)
   rcsr : Csr.t option Atomic.t;
-      (* the transposed table, built lazily on first backward pass
-         (liveness pruning, simulation refinement) and cached; the
-         keep-first CAS makes the cell domain-safe *)
+      (* the transposed table, built lazily on the first backward pass of
+         simulation refinement and cached; the keep-first CAS makes the
+         cell domain-safe *)
+  trimmed : bool;
+      (* every state is reachable and live: [trim] returns the record *)
 }
 
 (* Every construction site funnels through [make]: the delta is frozen
    into a CSR table exactly once, after all mutation. *)
-let make ~alphabet ~states ~initial ~accepting ~delta =
+let make ~trimmed ~alphabet ~states ~initial ~accepting ~delta =
   let csr = Csr.of_lists ~states ~symbols:(Alphabet.size alphabet) delta in
-  { alphabet; states; initial; accepting; delta; csr; rcsr = Atomic.make None }
+  { alphabet; states; initial; accepting; delta; csr; rcsr = Atomic.make None; trimmed }
 
-let create ~alphabet ~states ~initial ~accepting ~transitions () =
+(* The triples as per-letter successor lists, a later triple in front of
+   an earlier one; every state of [checked] and of the triples is
+   range-checked. *)
+let delta_of ~alphabet ~states ~checked ~transitions =
   if states < 0 then invalid_arg "Buchi.create: negative state count";
   let k = Alphabet.size alphabet in
   let check q =
     if q < 0 || q >= states then invalid_arg "Buchi: state out of range"
   in
+  List.iter check checked;
   let delta = Array.init states (fun _ -> Array.make k []) in
-  let acc = Bitset.create states in
-  List.iter check initial;
-  List.iter
-    (fun q ->
-      check q;
-      Bitset.add acc q)
-    accepting;
   List.iter
     (fun (q, a, q') ->
       check q;
@@ -44,7 +43,14 @@ let create ~alphabet ~states ~initial ~accepting ~transitions () =
       if a < 0 || a >= k then invalid_arg "Buchi.create: symbol out of range";
       delta.(q).(a) <- q' :: delta.(q).(a))
     transitions;
-  make ~alphabet ~states ~initial ~accepting:acc ~delta
+  delta
+
+let create ~alphabet ~states ~initial ~accepting ~transitions () =
+  let delta =
+    delta_of ~alphabet ~states ~checked:(initial @ accepting) ~transitions
+  in
+  make ~trimmed:false ~alphabet ~states ~initial
+    ~accepting:(Bitset.of_list states accepting) ~delta
 
 let alphabet t = t.alphabet
 let states t = t.states
@@ -117,9 +123,9 @@ let of_lasso alphabet x =
 
 (* --- graph analyses --- *)
 
-(* Kept as a compatibility shim: [tarjan] iterates these lists, and its
-   SCC numbering (observable through [bottom_sccs] grouping order in the
-   fairness layer) depends on this exact successor order. The
+(* Kept as a compatibility shim: [sccs] iterates these lists, and its
+   SCC numbering, observed by [Fair.bottom_sccs] and the RL lint's
+   vacuous-pair pass, depends on this exact successor order. The
    order-insensitive analyses below step the CSR table instead. *)
 let all_successors t q =
   Array.fold_left (fun acc l -> List.rev_append l acc) [] t.delta.(q)
@@ -147,93 +153,110 @@ let reachable t =
   done;
   seen
 
-(* SCC decomposition, delegated to the shared prelude Tarjan. Feeding it
-   [all_successors] in list order reproduces the numbering of the
-   original embedded implementation bit-for-bit. *)
-let tarjan t =
+let sccs t =
   let s = Scc.of_succ ~states:t.states (fun q f -> List.iter f (all_successors t q)) in
   (s.Scc.comp, s.Scc.count)
 
-let sccs = tarjan
-
-(* An SCC is "good" when a run can loop inside it through an accepting
-   state: it is non-trivial (contains an edge) and contains an accepting
-   state. *)
-let good_sccs t (scc_id, scc_count) =
-  let nontrivial = Array.make scc_count false in
-  let has_acc = Array.make scc_count false in
-  for q = 0 to t.states - 1 do
-    let id = scc_id.(q) in
-    if Bitset.mem t.accepting q then has_acc.(id) <- true;
-    Csr.iter_row_all t.csr q (fun q' ->
-        if scc_id.(q') = id then nontrivial.(id) <- true)
+(* Generalized-Büchi emptiness by SCCs (Couvreur, FM'99): a component is
+   good when a run can stay in it forever while visiting each of [sets]. *)
+let good_components ~states ~sets succ =
+  let s = Scc.of_succ ~states succ in
+  let m = Array.length sets in
+  let met = Array.make (s.Scc.count * m) false in
+  for q = 0 to states - 1 do
+    for i = 0 to m - 1 do
+      if Bitset.mem sets.(i) q then met.((s.comp.(q) * m) + i) <- true
+    done
   done;
-  Array.init scc_count (fun id -> nontrivial.(id) && has_acc.(id))
+  let rec meets_all c i = i = m || (met.((c * m) + i) && meets_all c (i + 1)) in
+  (s, Array.init s.count (fun c -> Scc.nontrivial s c && meets_all c 0))
+
+(* The states that reach a good component. Components are numbered sinks
+   first, so one sweep over the states grouped by ascending component
+   closes liveness backwards, with no transposed table. *)
+let live_states ~states ~sets succ =
+  let s, live_c = good_components ~states ~sets succ in
+  let pos = Array.make (s.count + 1) 0 in
+  for c = 0 to s.count - 1 do
+    pos.(c + 1) <- pos.(c) + s.size.(c)
+  done;
+  let order = Array.make states 0 in
+  Array.iteri
+    (fun q c ->
+      order.(pos.(c)) <- q;
+      pos.(c) <- pos.(c) + 1)
+    s.comp;
+  let live = Bitset.create states in
+  Array.iter
+    (fun q ->
+      let c = s.comp.(q) in
+      if not live_c.(c) then succ q (fun q' -> if live_c.(s.comp.(q')) then live_c.(c) <- true))
+    order;
+  Array.iteri (fun q c -> if live_c.(c) then Bitset.add live q) s.comp;
+  live
 
 let live t =
-  if t.states = 0 then Bitset.create 0
-  else begin
-    let ((scc_id, _) as sccs) = tarjan t in
-    let good = good_sccs t sccs in
-    let live = Bitset.create t.states in
-    (* backward closure over the cached transpose: predecessors of [q]
-       are one contiguous row scan, no per-state list building *)
-    let rdelta = rcsr t in
-    let stack = ref [] in
-    for q = 0 to t.states - 1 do
-      if good.(scc_id.(q)) && not (Bitset.mem live q) then begin
-        Bitset.add live q;
-        stack := q :: !stack
-      end
-    done;
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | q :: rest ->
-          stack := rest;
-          Csr.iter_row_all rdelta q (fun p ->
-              if not (Bitset.mem live p) then begin
-                Bitset.add live p;
-                stack := p :: !stack
-              end)
-    done;
-    live
-  end
+  live_states ~states:t.states ~sets:[| t.accepting |] (Csr.iter_row_all t.csr)
 
-let restrict t keep =
-  let remap = Array.make (max t.states 1) (-1) in
-  let count = ref 0 in
-  Bitset.iter
-    (fun q ->
-      remap.(q) <- !count;
-      incr count)
-    keep;
-  let n = !count in
-  let k = Alphabet.size t.alphabet in
-  let delta = Array.init n (fun _ -> Array.make k []) in
-  let accepting = Bitset.create n in
-  Bitset.iter
-    (fun q ->
-      let q2 = remap.(q) in
-      if Bitset.mem t.accepting q then Bitset.add accepting q2;
-      for a = 0 to k - 1 do
-        delta.(q2).(a) <-
-          List.filter_map
-            (fun q' -> if Bitset.mem keep q' then Some remap.(q') else None)
-            t.delta.(q).(a)
-      done)
-    keep;
-  let initial =
-    List.filter_map
-      (fun q -> if Bitset.mem keep q then Some remap.(q) else None)
-      t.initial
+(* [trim (degeneralize g)] for the generalized automaton [g] given by its
+   fields, without building the degeneralization. Copy [(q, i)] of the
+   counter construction is live iff [q] is live in [g], and every path
+   into a live state runs through live states only; so the kept copies
+   are those reached from [(q0, 0)] through live states. They are
+   numbered in increasing [q·m + i] order, as restricting the full
+   counter construction numbers them. *)
+let prune ~alphabet ~states:n ~initial ~sets ~delta =
+  let m = Array.length sets in
+  let live = live_states ~states:n ~sets (fun q f -> Array.iter (List.iter f) delta.(q)) in
+  let next i q = if Bitset.mem sets.(i) q then (i + 1) mod m else i in
+  let kept = Bitset.create (n * m) in
+  let stack = ref [] in
+  let visit c =
+    if not (Bitset.mem kept c) then begin
+      Bitset.add kept c;
+      stack := c :: !stack
+    end
   in
-  make ~alphabet:t.alphabet ~states:n ~initial ~accepting ~delta
+  List.iter (fun q -> if Bitset.mem live q then visit (q * m)) initial;
+  while !stack <> [] do
+    match !stack with
+    | [] -> ()
+    | c :: rest ->
+        stack := rest;
+        let q = c / m in
+        let j = next (c mod m) q in
+        Array.iter
+          (List.iter (fun q' -> if Bitset.mem live q' then visit ((q' * m) + j)))
+          delta.(q)
+  done;
+  let remap = Array.make (n * m) 0 and count = ref 0 in
+  Bitset.iter
+    (fun c ->
+      remap.(c) <- !count;
+      incr count)
+    kept;
+  (* the kept copies [(q', j)] of [qs], in order *)
+  let rec copies j = function
+    | [] -> []
+    | q' :: qs when Bitset.mem live q' -> remap.((q' * m) + j) :: copies j qs
+    | _ :: qs -> copies j qs
+  in
+  let accepting = Bitset.create !count in
+  let pruned = Array.make !count [||] in
+  Bitset.iter
+    (fun c ->
+      let q = c / m and i = c mod m in
+      if i = 0 && Bitset.mem sets.(0) q then Bitset.add accepting remap.(c);
+      pruned.(remap.(c)) <- Array.map (copies (next i q)) delta.(q))
+    kept;
+  make ~trimmed:true ~alphabet ~states:!count ~initial:(copies 0 initial) ~accepting
+    ~delta:pruned
 
 let trim t =
-  let keep = reachable t in
-  Bitset.inter_into ~into:keep (live t);
-  restrict t keep
+  if t.trimmed then t
+  else
+    prune ~alphabet:t.alphabet ~states:t.states ~initial:t.initial
+      ~sets:[| t.accepting |] ~delta:t.delta
 
 let is_empty t =
   let l = live t in
@@ -282,8 +305,10 @@ let accepting_lasso ?(budget = Rl_engine_kernel.Budget.unlimited) t =
        single bulk charge accounts for it *)
     Rl_engine_kernel.Budget.charge budget t.states;
     let reach = reachable t in
-    let ((scc_id, _) as sccs) = tarjan t in
-    let good = good_sccs t sccs in
+    let s, good =
+      good_components ~states:t.states ~sets:[| t.accepting |] (Csr.iter_row_all t.csr)
+    in
+    let scc_id = s.Scc.comp in
     (* Find a reachable accepting state inside a good SCC. *)
     let target = ref None in
     for q = 0 to t.states - 1 do
@@ -384,131 +409,80 @@ module Gba = struct
   }
 
   let create ~alphabet ~states ~initial ~accepting_sets ~transitions () =
-    let base =
-      create ~alphabet ~states ~initial ~accepting:[] ~transitions ()
-    in
-    let sets =
-      Array.of_list
-        (List.map
-           (fun set ->
-             let b = Bitset.create states in
-             List.iter
-               (fun q ->
-                 if q < 0 || q >= states then
-                   invalid_arg "Gba.create: state out of range";
-                 Bitset.add b q)
-               set;
-             b)
-           accepting_sets)
+    let delta = delta_of ~alphabet ~states ~checked:initial ~transitions in
+    let set xs =
+      List.iter
+        (fun q ->
+          if q < 0 || q >= states then invalid_arg "Gba.create: state out of range")
+        xs;
+      Bitset.of_list states xs
     in
     {
       g_alphabet = alphabet;
       g_states = states;
       g_initial = initial;
-      g_sets = sets;
-      g_delta = base.delta;
+      g_sets = Array.of_list (List.map set accepting_sets);
+      g_delta = delta;
     }
 
-  let degeneralize g =
-    let m = Array.length g.g_sets in
-    if m = 0 then
-      (* no constraint: every infinite run accepts *)
-      make ~alphabet:g.g_alphabet ~states:g.g_states ~initial:g.g_initial
-        ~accepting:(Bitset.of_list g.g_states (List.init g.g_states Fun.id))
-        ~delta:g.g_delta
-    else begin
-      let k = Alphabet.size g.g_alphabet in
-      let n = g.g_states in
-      let encode q i = (q * m) + i in
-      let next i q = if Bitset.mem g.g_sets.(i) q then (i + 1) mod m else i in
-      let total = n * m in
-      let delta = Array.init total (fun _ -> Array.make k []) in
-      for q = 0 to n - 1 do
-        for i = 0 to m - 1 do
-          let j = next i q in
-          for a = 0 to k - 1 do
-            delta.(encode q i).(a) <- List.map (fun q' -> encode q' j) g.g_delta.(q).(a)
-          done
-        done
-      done;
-      let accepting = Bitset.create total in
-      for q = 0 to n - 1 do
-        if Bitset.mem g.g_sets.(0) q then Bitset.add accepting (encode q 0)
-      done;
-      make ~alphabet:g.g_alphabet ~states:total
-        ~initial:(List.map (fun q -> encode q 0) g.g_initial)
-        ~accepting ~delta
-    end
+  let to_buchi g =
+    let n = g.g_states in
+    prune ~alphabet:g.g_alphabet ~states:n ~initial:g.g_initial ~delta:g.g_delta
+      ~sets:
+        (if Array.length g.g_sets = 0 then [| Bitset.of_list n (List.init n Fun.id) |]
+         else g.g_sets)
 end
+
+(* Pair codes [p·nb + q] are their own hash. *)
+module Pair_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash c = c
+end)
 
 let inter ?(budget = Rl_engine_kernel.Budget.unlimited) a b =
   if not (Alphabet.equal a.alphabet b.alphabet) then
     invalid_arg "Buchi.inter: alphabet mismatch";
-  if a.states = 0 || b.states = 0 then
-    create ~alphabet:a.alphabet ~states:0 ~initial:[] ~accepting:[]
-      ~transitions:[] ()
-  else begin
-    (* explore only the reachable pairs: the full product is quadratic and
-       dominates memory when one operand is large (e.g. a complement) *)
-    let k = Alphabet.size a.alphabet in
-    let table = Hashtbl.create 64 in
-    let rev = ref [] in
-    let count = ref 0 in
-    let intern pair =
-      match Hashtbl.find_opt table pair with
-      | Some id -> (id, false)
-      | None ->
-          Rl_engine_kernel.Budget.tick budget;
-          let id = !count in
-          incr count;
-          Hashtbl.add table pair id;
-          rev := pair :: !rev;
-          (id, true)
-    in
-    let queue = Queue.create () in
-    let initial =
-      List.concat_map
-        (fun p ->
-          List.map
-            (fun q ->
-              let pair = (p, q) in
-              let id, fresh = intern pair in
-              if fresh then Queue.add pair queue;
-              id)
-            b.initial)
-        a.initial
-    in
-    let transitions = ref [] in
-    while not (Queue.is_empty queue) do
-      let ((p, q) as pair) = Queue.pop queue in
-      let src = Hashtbl.find table pair in
-      for s = 0 to k - 1 do
-        List.iter
-          (fun p' ->
-            List.iter
-              (fun q' ->
-                let pair' = (p', q') in
-                let dst, fresh = intern pair' in
-                if fresh then Queue.add pair' queue;
-                transitions := (src, s, dst) :: !transitions)
-              b.delta.(q).(s))
-          a.delta.(p).(s)
-      done
-    done;
-    let n = !count in
-    let pairs = Array.of_list (List.rev !rev) in
-    let set1 = ref [] and set2 = ref [] in
-    Array.iteri
-      (fun id (p, q) ->
-        if Bitset.mem a.accepting p then set1 := id :: !set1;
-        if Bitset.mem b.accepting q then set2 := id :: !set2)
-      pairs;
-    let g =
-      Gba.create ~alphabet:a.alphabet ~states:n ~initial
-        ~accepting_sets:[ !set1; !set2 ] ~transitions:!transitions ()
-    in
-    trim (Gba.degeneralize g)
-  end
+  (* explore only the reachable pairs: the full product is quadratic and
+     dominates memory when one operand is large (e.g. a complement).
+     Ids are handed out breadth first, so the pair numbered [id] is the
+     [id]-th expanded and the id range is the queue. *)
+  let nb = b.states in
+  let ids = Pair_tbl.create 64 and codes = Vec.create () in
+  let intern p q =
+    let code = (p * nb) + q in
+    match Pair_tbl.find_opt ids code with
+    | Some id -> id
+    | None ->
+        Rl_engine_kernel.Budget.tick budget;
+        let id = Vec.length codes in
+        Pair_tbl.add ids code id;
+        Vec.push codes code;
+        id
+  in
+  let initial = List.concat_map (fun p -> List.map (intern p) b.initial) a.initial in
+  let k = Alphabet.size a.alphabet in
+  let rows = ref [] and id = ref 0 in
+  while !id < Vec.length codes do
+    let code = Vec.get codes !id in
+    let p = code / nb and q = code mod nb in
+    incr id;
+    (* successors in order: for [p'] in [a], for [q'] in [b] *)
+    rows :=
+      Array.init k (fun s ->
+          List.concat_map (fun p' -> List.map (intern p') b.delta.(q).(s)) a.delta.(p).(s))
+      :: !rows
+  done;
+  let n = Vec.length codes in
+  let sets = [| Bitset.create n; Bitset.create n |] in
+  for id = 0 to n - 1 do
+    let code = Vec.get codes id in
+    if Bitset.mem a.accepting (code / nb) then Bitset.add sets.(0) id;
+    if Bitset.mem b.accepting (code mod nb) then Bitset.add sets.(1) id
+  done;
+  prune ~alphabet:a.alphabet ~states:n ~initial ~sets
+    ~delta:(Array.of_list (List.rev !rows))
 
 let union a b =
   if not (Alphabet.equal a.alphabet b.alphabet) then

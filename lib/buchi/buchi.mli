@@ -58,8 +58,8 @@ val csr : t -> Rl_prelude.Csr.t
 
 (** [rcsr b] is the transposed CSR table ([Csr.transpose (csr b)]),
     built on first use and cached on the automaton — the backward
-    passes (liveness pruning, simulation refinement) stop rebuilding
-    it. Domain-safe (keep-first CAS). *)
+    passes of simulation refinement stop rebuilding it. Domain-safe
+    (keep-first CAS). *)
 val rcsr : t -> Rl_prelude.Csr.t
 
 (** [iter_succ b q a f] applies [f] to every [a]-successor of [q], in
@@ -86,8 +86,11 @@ val live : t -> Rl_prelude.Bitset.t
 val sccs : t -> int array * int
 
 (** [trim b] is the "reduced" automaton of the paper's Theorem 5.1 proof:
-    restricted to reachable states from which an ω-word can be accepted.
-    Preserves the language; may have zero states if the language is empty. *)
+    restricted to reachable states from which an ω-word can be accepted,
+    renumbered in increasing order. Preserves the language; may have zero
+    states if the language is empty. The results of [trim], {!inter} and
+    {!Gba.to_buchi} are marked trimmed, and [trim] returns them as they
+    are. *)
 val trim : t -> t
 
 (** {1 Decision procedures} *)
@@ -109,9 +112,10 @@ val member : t -> Lasso.t -> bool
 
 (** {1 Boolean operations} *)
 
-(** [inter ?budget a b] accepts [L(a) ∩ L(b)] (generalized-Büchi product,
-    degeneralized). Only reachable product pairs are explored; [budget] is
-    ticked once per pair. *)
+(** [inter ?budget a b] accepts [L(a) ∩ L(b)]: the generalized-Büchi
+    product of the reachable pairs, numbered breadth first, read through
+    {!Gba.to_buchi}, so the result is trimmed. [budget] is ticked once
+    per pair. *)
 val inter : ?budget:Rl_engine_kernel.Budget.t -> t -> t -> t
 
 (** [union a b] accepts [L(a) ∪ L(b)] (disjoint sum). *)
@@ -127,8 +131,9 @@ val pre_language : ?budget:Rl_engine_kernel.Budget.t -> t -> Nfa.t
 
 module Gba : sig
   (** Büchi automata with multiple acceptance sets, as produced by the
-      LTL translation; a run is accepting iff it visits {e every} set
-      infinitely often. *)
+      LTL translation and the product; a run is accepting iff it visits
+      {e every} set infinitely often. An empty list of sets means "all
+      runs accepting". *)
 
   type gba
 
@@ -141,10 +146,11 @@ module Gba : sig
     unit ->
     gba
 
-  (** [degeneralize g] is an equivalent plain Büchi automaton (counter
-      construction; [m] sets multiply the state count by [m]). An empty
-      list of sets means "all runs accepting". *)
-  val degeneralize : gba -> t
+  (** [to_buchi g] is the trimmed counter construction: [trim] of the
+      equivalent plain Büchi automaton whose state [q·m + i] is state [q]
+      waiting for set [i] of [m]. Liveness is decided on [g] itself, and
+      only the reachable copies of live states are built. *)
+  val to_buchi : gba -> t
 end
 
 (** {1 Output} *)

@@ -186,7 +186,7 @@ let to_buchi ?(budget = Budget.unlimited) ~alphabet ~labeling f =
     Buchi.Gba.create ~alphabet ~states:(n_nodes + 1) ~initial:[ n_nodes ]
       ~accepting_sets ~transitions:!transitions ()
   in
-  Buchi.trim (Buchi.Gba.degeneralize g)
+  Buchi.Gba.to_buchi g
 
 let to_buchi_neg ?budget ~alphabet ~labeling f =
   to_buchi ?budget ~alphabet ~labeling (Formula.not_ f)

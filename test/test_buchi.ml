@@ -211,6 +211,39 @@ let prop_inter_semantics =
     (fun (b1, b2, x) ->
       Buchi.member (Buchi.inter b1 b2) x = (Buchi.member b1 x && Buchi.member b2 x))
 
+(* A generalized automaton with 0-3 acceptance sets and up to two initial
+   states, as the triples and sets [Gba.create] takes. *)
+let gen_gba =
+  QCheck2.Gen.(
+    let* seed = 0 -- 1_000_000 in
+    let* states = 1 -- 6 in
+    let* m = 0 -- 3 in
+    let rng = mk_rng seed in
+    let pick p = List.filter (fun _ -> Rl_prelude.Prng.float rng < p) (List.init states Fun.id) in
+    let transitions =
+      List.concat_map
+        (fun q ->
+          List.concat_map (fun a -> List.map (fun q' -> (q, a, q')) (pick 0.3)) [ 0; 1 ])
+        (List.init states Fun.id)
+    in
+    let initial = List.init (1 + Rl_prelude.Prng.int rng 2) (fun _ -> Rl_prelude.Prng.int rng states) in
+    return (states, initial, List.init m (fun _ -> pick 0.5), transitions))
+
+let prop_gba_to_buchi_is_trimmed_degeneralization =
+  QCheck2.Test.make ~name:"Gba.to_buchi = trim (degeneralize g), structurally" ~count:1000
+    gen_gba (fun (states, initial, sets, transitions) ->
+      let g =
+        Buchi.Gba.create ~alphabet:ab ~states ~initial ~accepting_sets:sets ~transitions ()
+      in
+      Buchi_oracle.same_structure (Buchi.Gba.to_buchi g)
+        (Buchi_oracle.trim
+           (Buchi_oracle.degeneralize ~alphabet:ab ~states ~initial ~sets ~transitions)))
+
+let prop_inter_is_five_pass_product =
+  QCheck2.Test.make ~name:"inter = the five-pass product, structurally" ~count:1000
+    QCheck2.Gen.(pair (gen_buchi 5) (gen_buchi 5))
+    (fun (b1, b2) -> Buchi_oracle.same_structure (Buchi.inter b1 b2) (Buchi_oracle.inter b1 b2))
+
 let prop_union_semantics =
   QCheck2.Test.make ~name:"union matches disjunction" ~count:300
     QCheck2.Gen.(triple (gen_buchi 4) (gen_buchi 4) gen_lasso)
@@ -385,6 +418,8 @@ let qsuite =
       prop_witness_sound;
       prop_trim_preserves;
       prop_inter_semantics;
+      prop_gba_to_buchi_is_trimmed_degeneralization;
+      prop_inter_is_five_pass_product;
       prop_union_semantics;
       prop_complement_partition;
       prop_complement_disjoint;

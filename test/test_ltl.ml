@@ -407,11 +407,9 @@ module Reference = struct
             node_list)
         untils
     in
-    let g =
-      Buchi.Gba.create ~alphabet ~states:(n_nodes + 1) ~initial:[ iota ]
-        ~accepting_sets ~transitions:!transitions ()
-    in
-    Buchi.trim (Buchi.Gba.degeneralize g)
+    Buchi.trim
+      (Buchi_oracle.degeneralize ~alphabet ~states:(n_nodes + 1) ~initial:[ iota ]
+         ~sets:accepting_sets ~transitions:!transitions)
 end
 
 let ref_buchi f = Reference.to_buchi ~alphabet:ab ~labeling:lam f
