@@ -14,7 +14,7 @@
      Kupferman-Vardi complementation, simplicity checking, and the
      abstract-vs-concrete verification speedup that motivates
      Sections 6-8.
-   - profile, reduction, lint, hotpath, scaling: the gated profiles
+   - profile, reduction, lint, hotpath: the gated profiles
      below. Each writes BENCH_<section>.json with one host block and
      exits non-zero when one of its bars breaks.
 
@@ -629,7 +629,6 @@ let run_benchmarks () =
 
 module Budget = Rl_engine.Budget
 module J = Rl_service.Jsonx
-module Pool = Rl_engine_kernel.Pool
 module Stats = Rl_engine_kernel.Stats
 
 let count n = J.Num (float_of_int n)
@@ -1382,16 +1381,10 @@ let verdict_string = function
       "witness:"
       ^ String.concat "," (List.map string_of_int (Word.to_list w))
 
-(* An instrumented run with an exact minor-word delta. The minor heap is
-   flushed on both sides because [Gc.quick_stat]'s minor_words advances
-   only at minor collections: without the flush a run fitting inside the
-   (tuned, large) minor heap would report zero no matter what it
-   allocated. *)
+(* An instrumented run with its minor-word delta. *)
 let alloc_profile f =
-  Gc.minor ();
   let before = Stats.snapshot () in
   f ();
-  Gc.minor ();
   Stats.diff ~before ~after:(Stats.snapshot ())
 
 (* the marginal minor words per node from one instrumented run to a
@@ -1501,222 +1494,6 @@ let hotpath () =
     "PASS: verdicts and node counts as pinned, steady-state allocation bar met"
 
 (* ------------------------------------------------------------------ *)
-(* Part 7: work-stealing scaling                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Serial vs jobs=1 vs the work-stealing pool on a seeded corpus. Its
-   bars: verdicts and witnesses must be equal across all three
-   configurations unconditionally; jobs=1 must keep >= 0.95x of the
-   no-pool serial throughput per family (the scheduler must cost nothing
-   when it is not used); the work-stealing path must stay under 1.0
-   steady-state minor words per node (marginal method, two instance
-   sizes per family — a state cap would disable the path); and on hosts
-   with >= 4 cores at least one family must reach a 2x speedup over
-   jobs=1 (the bar is disarmed and recorded as a caveat on smaller
-   hosts, where no parallel speedup is physical). Written to
-   BENCH_scaling.json. *)
-
-type srow = {
-  sfamily : string;
-  smode : string;
-  snodes : int;
-  t_serial : float;
-  t_jobs1 : float;
-  t_ws : float;
-  serial_ratio : float; (* serial wall / jobs=1 wall; >= 0.95 required *)
-  sspeedup : float; (* jobs=1 wall / work-stealing wall *)
-  sverdicts_equal : bool;
-  sverdict : string;
-  ws_steady : float; (* marginal minor words/node under WS; nan = unmeasured *)
-  ssteals : int;
-  sparks : int;
-  scontention : int;
-}
-
-(* [small]/[large] are two sizes of the same generator family: the
-   steady-state allocation of the work-stealing path is the marginal
-   slope between them (a [max_states] cap — how the hot path isolates
-   its slope — would knock the engine back onto the deterministic path,
-   since a finite state budget disqualifies the schedule-dependent
-   search). The witness family passes the same instance twice and
-   reports no slope. *)
-let scaling_family ~jobs (name, subsumption, small, large) =
-  let sa, sb = small and la, lb = large in
-  (* serial and jobs=1 samples are interleaved (min of 5 each) so host
-     load drift hits both sides of the overhead ratio equally *)
-  let t_serial = ref infinity and t_jobs1 = ref infinity in
-  let v_serial = ref (Ok ()) and v_jobs1 = ref (Ok ()) in
-  Pool.with_pool ~jobs:1 (fun p1 ->
-      for _ = 1 to 5 do
-        let v, dt = timed (fun () -> Inclusion.included ~subsumption la lb) in
-        v_serial := v;
-        t_serial := Float.min !t_serial dt;
-        let v, dt =
-          timed (fun () -> Inclusion.included ~pool:p1 ~subsumption la lb)
-        in
-        v_jobs1 := v;
-        t_jobs1 := Float.min !t_jobs1 dt
-      done);
-  let t_serial = !t_serial and t_jobs1 = !t_jobs1 in
-  let before_ws = Stats.snapshot () in
-  let t_ws, v_ws, big_nodes, steady =
-    Pool.with_pool ~jobs (fun p ->
-        let v_ws, t_ws =
-          best_of 3 (fun () -> Inclusion.included ~pool:p ~subsumption la lb)
-        in
-        let prof a b =
-          alloc_profile (fun () ->
-              ignore (Inclusion.included ~pool:p ~subsumption a b))
-        in
-        let big = prof la lb in
-        let steady =
-          if sa == la && sb == lb then Float.nan
-          else steady_slope ~small:(prof sa sb) ~big
-        in
-        (t_ws, v_ws, big.Stats.nodes, steady))
-  in
-  let d = Stats.diff ~before:before_ws ~after:(Stats.snapshot ()) in
-  let sverdict = verdict_string !v_serial in
-  {
-    sfamily = name;
-    smode = mode_name subsumption;
-    snodes = big_nodes;
-    t_serial;
-    t_jobs1;
-    t_ws;
-    serial_ratio = t_serial /. t_jobs1;
-    sspeedup = t_jobs1 /. t_ws;
-    sverdicts_equal =
-      sverdict = verdict_string !v_jobs1 && sverdict = verdict_string v_ws;
-    sverdict;
-    ws_steady = steady;
-    ssteals = d.Stats.steals;
-    sparks = d.Stats.parks;
-    scontention = d.Stats.shard_contention;
-  }
-
-let scaling_corpus () =
-  let mk seed states =
-    let rng = Prng.create seed in
-    let a = random_nfa rng ~states ~extra:2 ~finals_every:3 in
-    let b = superset_of rng a ~extra_edges:(states / 2) in
-    (a, b)
-  in
-  let witness =
-    let rng = Prng.create 7707 in
-    let a = random_nfa rng ~states:40 ~extra:2 ~finals_every:3 in
-    let b = random_nfa rng ~states:30 ~extra:1 ~finals_every:7 in
-    (a, b)
-  in
-  [
-    ("scale-subset", `Subset, mk 5505 60, mk 5505 132);
-    ("scale-simulation", `Simulation, mk 6606 48, mk 6606 96);
-    (* inclusion fails: exercises the fall-back replay end to end — the
-       work-stealing pass detects the counterexample, the deterministic
-       replay must hand back the canonical witness *)
-    ("scale-witness", `Subset, witness, witness);
-  ]
-
-let scaling () =
-  header "SCALING (serial vs jobs=1 vs work stealing)";
-  (* force the work-stealing path regardless of instance size so the
-     bars measure it, not the eligibility heuristic. Inclusion reads the
-     variable on every call, so the old value is put back for the
-     sections that run after this one (an empty value reads as unset). *)
-  let saved_ws_min = Sys.getenv_opt "RLCHECK_WS_MIN" in
-  Unix.putenv "RLCHECK_WS_MIN" "0";
-  let jobs = max 2 (min host_cores 8) in
-  let armed = host_cores >= 4 in
-  let rows = List.map (scaling_family ~jobs) (scaling_corpus ()) in
-  Unix.putenv "RLCHECK_WS_MIN" (Option.value saved_ws_min ~default:"");
-  Printf.printf "%-18s %-10s %9s %11s %11s %11s %7s %8s %9s %s\n" "family"
-    "mode" "nodes" "serial(s)" "jobs1(s)" "ws(s)" "ser.r" "speedup" "steady"
-    "verdict";
-  List.iter
-    (fun r ->
-      Printf.printf
-        "%-18s %-10s %9d %11.4f %11.4f %11.4f %7.3f %7.2fx %9.3f %s%s\n"
-        r.sfamily r.smode r.snodes r.t_serial r.t_jobs1 r.t_ws r.serial_ratio
-        r.sspeedup r.ws_steady r.sverdict
-        (if r.sverdicts_equal then "" else "  VERDICT MISMATCH"))
-    rows;
-  let equal = List.for_all (fun r -> r.sverdicts_equal) rows in
-  (* families under ~100ms of serial wall cannot be timed reliably on a
-     shared host; the overhead bar applies where the clock has signal *)
-  let serial_ok =
-    List.for_all
-      (fun r -> r.t_serial < 0.1 || r.serial_ratio >= 0.95)
-      rows
-  in
-  let measured =
-    List.filter (fun r -> not (Float.is_nan r.ws_steady)) rows
-  in
-  let steady_ok =
-    measured <> [] && List.for_all (fun r -> r.ws_steady < 1.0) measured
-  in
-  let speed_ok =
-    (not armed) || List.exists (fun r -> r.sspeedup >= 2.0) rows
-  in
-  let caveat =
-    if armed then ""
-    else
-      Printf.sprintf
-        "host has %d core(s): the 2x speedup bar is disarmed (no parallel \
-         speedup is physical); verdict, serial-overhead and allocation bars \
-         remain armed"
-        host_cores
-  in
-  let family r =
-    J.Obj
-      [
-        ("family", J.Str r.sfamily);
-        ("mode", J.Str r.smode);
-        ("nodes", count r.snodes);
-        ("serial_s", num r.t_serial);
-        ("jobs1_s", num r.t_jobs1);
-        ("ws_s", num r.t_ws);
-        ("serial_ratio", num r.serial_ratio);
-        ("speedup", num r.sspeedup);
-        ("verdicts_equal", J.Bool r.sverdicts_equal);
-        ("verdict", J.Str r.sverdict);
-        ("ws_steady_minor_words_per_node", num r.ws_steady);
-        ("steals", count r.ssteals);
-        ("parks", count r.sparks);
-        ("shard_contention", count r.scontention);
-      ]
-  in
-  write_report "scaling"
-    [
-      ("jobs", count jobs);
-      ( "bar",
-        J.Obj
-          [
-            ("serial_min_ratio", J.Num 0.95);
-            ("serial_bar_min_seconds", J.Num 0.1);
-            ("min_speedup", J.Num 2.0);
-            ("speedup_bar_armed", J.Bool armed);
-            ("caveat", J.Str caveat);
-            ("max_ws_steady_minor_words_per_node", J.Num 1.0);
-            ("passed", J.Bool (equal && serial_ok && steady_ok && speed_ok));
-          ] );
-      ("families", J.Arr (List.map family rows));
-    ];
-  if not equal then
-    fail "verdict/witness mismatch across serial, jobs=1 and work-stealing";
-  if not serial_ok then
-    fail "a family lost more than 5%% serial throughput under jobs=1";
-  if not steady_ok then
-    fail
-      "work-stealing path exceeded 1.0 steady-state minor words per node (or \
-       no family was measurable)";
-  if not speed_ok then
-    fail "no family reached the 2x speedup bar on a >=4-core host";
-  Printf.printf
-    "PASS: verdicts equal, serial overhead bar met, steady-state allocation \
-     bar met%s\n"
-    (if armed then ", speedup bar met" else " (speedup bar disarmed)")
-
-(* ------------------------------------------------------------------ *)
 (* Section selector                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -1740,7 +1517,6 @@ let sections =
     ("reduction", reduction_profile);
     ("lint", lint_profile);
     ("hotpath", hotpath);
-    ("scaling", scaling);
   ]
 
 let () =

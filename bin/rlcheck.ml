@@ -118,19 +118,19 @@ let timeout_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for the parallel checking engine. The default 1 runs \
+    "Worker domains for independent sub-checks. The default 1 runs \
      serially; $(docv) > 1 spawns $(docv) - 1 worker domains, whatever the \
-     host's core count, for the work-stealing antichain inclusion and the \
-     independent sub-checks; 0 means one domain per available core. \
-     Verdicts, witnesses and exit codes are identical for every value \
-     (phases that are inherently serial simply ignore the pool)."
+     host's core count, to fan out the independent checks of \
+     $(b,decompose); 0 means one domain per available core. Verdicts, \
+     witnesses and exit codes are identical for every value (serial \
+     phases, and every other subcommand, ignore the pool)."
   in
   let env = Cmd.Env.info "RLCHECK_JOBS" ~doc:"Default value for $(b,--jobs)." in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc ~env)
 
-(* A serial run gets no pool at all — [?pool:None] everywhere — so --jobs 1
-   takes literally the code path of the pre-parallel engine. Exits inside
-   the body bypass the shutdown; process termination reaps the domains. *)
+(* Only [decompose] fans out; a serial run gets no pool at all, so
+   --jobs 1 spawns no domain. Exits inside the body bypass the shutdown;
+   process termination reaps the domains. *)
 let with_jobs jobs f =
   if jobs = 1 then f None else Pool.with_pool ~jobs (fun p -> f (Some p))
 
@@ -204,7 +204,7 @@ let print_reply ?stats_before (reply : Request.reply) =
   emit_stats stats_before;
   exit (Request.exit_code reply)
 
-let run_check mode path formula_src max_states timeout bound jobs no_lint
+let run_check mode path formula_src max_states timeout bound _jobs no_lint
     stats =
   let kind =
     match mode with `Sat -> Request.Sat | `Rl -> Request.Rl | `Rs -> Request.Rs
@@ -214,8 +214,7 @@ let run_check mode path formula_src max_states timeout bound jobs no_lint
       formula_src
   in
   let stats_before = if stats then Some (Stats.snapshot ()) else None in
-  with_jobs jobs @@ fun pool ->
-  print_reply ?stats_before (Request.run ?pool job)
+  print_reply ?stats_before (Request.run job)
 
 let check_cmd name mode doc =
   let term =
@@ -236,11 +235,10 @@ let eps_check =
   Arg.(value & flag & info [ "check-concrete" ] ~doc)
 
 let run_abstract path formula_src keep check_concrete max_states timeout bound
-    jobs no_lint stats =
+    _jobs no_lint stats =
   let budget = Budget.create ?max_states ?timeout () in
   let stats_before = if stats then Some (Stats.snapshot ()) else None in
   guarded @@ fun () ->
-  with_jobs jobs @@ fun pool ->
   let* f = parse_formula formula_src in
   let* ts = load_and_lint ~budget ?bound ~formula:f ~keep ~no_lint path in
   let* hom =
@@ -248,7 +246,7 @@ let run_abstract path formula_src keep check_concrete max_states timeout bound
     with Invalid_argument m -> Error (Error.Internal m)
   in
   let* report =
-    try Ok (Abstraction.verify ~budget ?pool ~ts ~hom ~formula:f ())
+    try Ok (Abstraction.verify ~budget ~ts ~hom ~formula:f ())
     with Invalid_argument m -> Error (Error.Internal m)
   in
   Format.printf "%a@." Abstraction.pp_report report;
@@ -257,7 +255,7 @@ let run_abstract path formula_src keep check_concrete max_states timeout bound
   List.iter report_diag report.Abstraction.hints;
   if check_concrete then begin
     let direct =
-      Abstraction.check_concrete ~budget ?pool ~ts ~hom ~formula:f ()
+      Abstraction.check_concrete ~budget ~ts ~hom ~formula:f ()
     in
     Format.printf "direct concrete check: %s@."
       (match direct with
@@ -290,17 +288,16 @@ let seed_arg =
   let doc = "PRNG seed for run sampling." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let run_impl path formula_src samples seed max_states timeout bound jobs
+let run_impl path formula_src samples seed max_states timeout bound _jobs
     no_lint =
   let budget = Budget.create ?max_states ?timeout () in
   guarded @@ fun () ->
-  with_jobs jobs @@ fun pool ->
   let* f = parse_formula formula_src in
   let* ts = load_and_lint ~budget ?bound ~formula:f ~no_lint path in
   let alpha = Nfa.alphabet ts in
   let system = Buchi.of_transition_system ts in
   let p = Relative.ltl alpha f in
-  (match Relative.is_relative_liveness ~budget ?pool ~system p with
+  (match Relative.is_relative_liveness ~budget ~system p with
   | Ok () -> ()
   | Error w ->
       Format.printf
@@ -311,7 +308,7 @@ let run_impl path formula_src samples seed max_states timeout bound jobs
   Format.printf "implementation: %d states (system had %d)@."
     (Buchi.states impl.Implement.implementation)
     (Buchi.states system);
-  (match Implement.language_preserved ~budget ?pool ~system impl with
+  (match Implement.language_preserved ~budget ~system impl with
   | Ok () -> Format.printf "behaviors preserved: yes@."
   | Error x ->
       Format.printf "behaviors preserved: NO, witness %a@." (Word.pp alpha) x);
@@ -342,11 +339,8 @@ let impl_cmd =
 
 (* --- fair: model checking under strong fairness --- *)
 
-let run_fair path formula_src bound jobs no_lint =
+let run_fair path formula_src bound _jobs no_lint =
   guarded @@ fun () ->
-  (* the Streett emptiness path is inherently sequential (nested SCC
-     decompositions); the flag is accepted for interface uniformity *)
-  with_jobs jobs @@ fun _pool ->
   let* f = parse_formula formula_src in
   let* ts = load_and_lint ?bound ~formula:f ~no_lint path in
   let alpha = Nfa.alphabet ts in
@@ -380,11 +374,9 @@ let fair_cmd =
 
 (* --- simple: simplicity of a hiding abstraction --- *)
 
-let run_simple path keep max_states timeout bound jobs no_lint =
+let run_simple path keep max_states timeout bound _jobs no_lint =
   let budget = Budget.create ?max_states ?timeout () in
   guarded @@ fun () ->
-  (* the simplicity configuration search is a sequential fixpoint *)
-  with_jobs jobs @@ fun _pool ->
   let* ts = load_and_lint ~budget ?bound ~keep ~no_lint path in
   let* hom =
     try Ok (Rl_hom.Hom.hiding ~concrete:(Nfa.alphabet ts) ~keep)
@@ -437,7 +429,7 @@ let run_decompose path formula_src max_states bound jobs no_lint =
   let checks =
     [
       (fun () -> `Bool (Classify.is_safety b));
-      (fun () -> `Bool (Classify.is_liveness ?pool b));
+      (fun () -> `Bool (Classify.is_liveness b));
       (fun () ->
         match Classify.decompose ?max_states b with
         | parts -> `Decomposition (Ok parts)

@@ -60,9 +60,8 @@ let socket_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for the shared checking pool: 1 (default) runs \
-     serially, $(docv) > 1 spawns $(docv) - 1 workers whatever the core \
-     count, 0 means one domain per core."
+    "Accepted for compatibility with $(b,rlcheck) and ignored: every job \
+     is decided on one domain."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -97,11 +96,11 @@ let quiet_arg =
   let doc = "Suppress the stderr log lines." in
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
 
-let run_serve socket jobs deadline_s model_cache_capacity max_batch
+let run_serve socket _jobs deadline_s model_cache_capacity max_batch
     max_connections quiet =
   match
     Daemon.serve
-      { Daemon.socket_path = socket; jobs; deadline_s; model_cache_capacity;
+      { Daemon.socket_path = socket; deadline_s; model_cache_capacity;
         max_batch; max_connections; quiet }
   with
   | () -> exit 0

@@ -20,20 +20,16 @@
     {!Buchi.pre_language} results are stepped as contiguous array slices
     rather than re-walked transition lists.
 
-    The search is level-synchronous breadth-first on the calling domain.
-    With a [?pool] of two or more members, an unlimited state budget and
-    a large enough instance, a work-stealing search across the pool's
-    domains runs first: when it proves inclusion it answers directly,
-    and any other outcome replays the serial search. Verdict, witness
-    and budget-exhaustion point are therefore identical for every pool
-    size (at a fixed subsumption mode; the two modes explore different
-    node sets). *)
+    The search is level-synchronous breadth-first on the calling domain,
+    so verdict, witness and budget-exhaustion point are deterministic (at
+    a fixed subsumption mode; the two modes explore different node
+    sets). *)
 
 open Rl_sigma
 
 type subsumption = [ `Subset | `Simulation ]
 
-(** [included ?budget ?pool ?subsumption a b] decides [L(a) ⊆ L(b)]. On
+(** [included ?budget ?subsumption a b] decides [L(a) ⊆ L(b)]. On
     failure it returns a witness of [L(a) \ L(b)]: among the shortest
     words the pruned search uncovers, the lexicographically least (in
     symbol-index order) of the surviving frontier nodes — subsumption
@@ -44,18 +40,16 @@ type subsumption = [ `Subset | `Simulation ]
     @raise Invalid_argument on an alphabet mismatch. *)
 val included :
   ?budget:Rl_engine_kernel.Budget.t ->
-  ?pool:Rl_engine_kernel.Pool.t ->
   ?subsumption:subsumption ->
   Nfa.t ->
   Nfa.t ->
   (unit, Word.t) result
 
-(** [equivalent ?budget ?pool ?subsumption a b] decides [L(a) = L(b)] by
+(** [equivalent ?budget ?subsumption a b] decides [L(a) = L(b)] by
     two inclusion runs; the returned word lies in the symmetric
     difference. *)
 val equivalent :
   ?budget:Rl_engine_kernel.Budget.t ->
-  ?pool:Rl_engine_kernel.Pool.t ->
   ?subsumption:subsumption ->
   Nfa.t ->
   Nfa.t ->

@@ -15,14 +15,13 @@ open Rl_sigma
     irrecoverable finite prefix). *)
 val is_safety : Buchi.t -> bool
 
-(** [is_liveness ?pool b] — [L(b)] is a liveness property:
+(** [is_liveness b] — [L(b)] is a liveness property:
     [pre(L(b)) = Σ*] (every finite word can be extended into [L(b)]).
-    [?pool] parallelizes the antichain inclusion; [reduce] (default
+    [reduce] (default
     [true]) shrinks [b] and its prefix NFA by their cached simulation
     quotients and prunes the antichain by simulation subsumption — the
     verdict is reduction-invariant. *)
-val is_liveness :
-  ?pool:Rl_engine_kernel.Pool.t -> ?reduce:bool -> Buchi.t -> bool
+val is_liveness : ?reduce:bool -> Buchi.t -> bool
 
 (** [universal_buchi alphabet] accepts [Σ^ω]. *)
 val universal_buchi : Alphabet.t -> Buchi.t

@@ -20,7 +20,7 @@ type report = {
 
 let abstract_system ~hom ~ts = Hom.image_ts hom ts
 
-let verify ?(budget = Rl_engine_kernel.Budget.unlimited) ?pool ?reduce ~ts
+let verify ?(budget = Rl_engine_kernel.Budget.unlimited) ?reduce ~ts
     ~hom ~formula () =
   let abstract_alpha = Hom.abstract hom in
   if not (Rl_ltl.Transform.is_sigma_normal ~alphabet:abstract_alpha (Formula.expand formula))
@@ -40,7 +40,7 @@ let verify ?(budget = Rl_engine_kernel.Budget.unlimited) ?pool ?reduce ~ts
   let abstract_verdict =
     Rl_engine_kernel.Budget.with_phase budget
       "abstract transfer check (Thm 8.2/8.3)" (fun () ->
-        Relative.is_relative_liveness ~budget ?pool ?reduce
+        Relative.is_relative_liveness ~budget ?reduce
           ~system:verdict_system
           (Relative.ltl (Nfa.alphabet checked_ts) formula))
   in
@@ -86,7 +86,7 @@ let verify ?(budget = Rl_engine_kernel.Budget.unlimited) ?pool ?reduce ~ts
    both hold. The weak (vacuously-true-on-silent-divergence) reading that
    the proof sketch of Theorem 8.3 suggests actually refutes that theorem:
    see DESIGN.md §4 and the enumeration test in the suite. *)
-let check_concrete ?budget ?pool ?reduce ~ts ~hom ~formula () =
+let check_concrete ?budget ?reduce ~ts ~hom ~formula () =
   let abstract_alpha = Hom.abstract hom in
   let rbar = Transform.rbar ~abstract:abstract_alpha ~eps_tail:`Strong formula in
   let labeling = Transform.epsilon_labeling ~abstract:abstract_alpha (Hom.apply_symbol hom) in
@@ -96,7 +96,7 @@ let check_concrete ?budget ?pool ?reduce ~ts ~hom ~formula () =
   in
   Rl_engine_kernel.Budget.with_phase budget "concrete R̄(η) check (Thm 8.2)"
     (fun () ->
-      Relative.is_relative_liveness ~budget ?pool ?reduce ~system
+      Relative.is_relative_liveness ~budget ?reduce ~system
         (Relative.Ltl { formula = rbar; labeling }))
 
 let pp_report ppf r =

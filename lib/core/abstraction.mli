@@ -59,7 +59,6 @@ type report = {
     transition system. *)
 val verify :
   ?budget:Rl_engine_kernel.Budget.t ->
-  ?pool:Rl_engine_kernel.Pool.t ->
   ?reduce:bool ->
   ts:Nfa.t ->
   hom:Rl_hom.Hom.t ->
@@ -74,7 +73,6 @@ val verify :
     measure the speedup. *)
 val check_concrete :
   ?budget:Rl_engine_kernel.Budget.t ->
-  ?pool:Rl_engine_kernel.Pool.t ->
   ?reduce:bool ->
   ts:Nfa.t ->
   hom:Rl_hom.Hom.t ->

@@ -21,13 +21,13 @@ let construct ?budget ~system p =
    engine. [reduce] quotients both prefix NFAs by their cached simulation
    preorders first (language-preserving, so the verdict and the validity
    of a separating word on the original automata are unaffected). *)
-let language_preserved ?budget ?pool ?(reduce = true) ~system t =
+let language_preserved ?budget ?(reduce = true) ~system t =
   let pre b =
     let p = Buchi.pre_language ?budget b in
     if reduce then Rl_automata.Preorder.reduce p else p
   in
   let subsumption = if reduce then `Simulation else `Subset in
-  Rl_automata.Inclusion.equivalent ?budget ?pool ~subsumption (pre system)
+  Rl_automata.Inclusion.equivalent ?budget ~subsumption (pre system)
     (pre t.implementation)
 
 let fair_run_satisfies t labels p =

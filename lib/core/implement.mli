@@ -35,7 +35,6 @@ val construct :
     first if the hypothesis is in doubt. *)
 val language_preserved :
   ?budget:Rl_engine_kernel.Budget.t ->
-  ?pool:Rl_engine_kernel.Pool.t ->
   ?reduce:bool ->
   system:Buchi.t ->
   t ->

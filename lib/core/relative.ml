@@ -56,7 +56,7 @@ let satisfies ?(budget = Budget.unlimited) ~system p =
       | None -> Ok ()
       | Some x -> Error x)
 
-let is_relative_liveness ?(budget = Budget.unlimited) ?pool ?(reduce = true)
+let is_relative_liveness ?(budget = Budget.unlimited) ?(reduce = true)
     ~system p =
   let pb =
     Budget.with_phase budget "translate property" (fun () ->
@@ -77,7 +77,7 @@ let is_relative_liveness ?(budget = Budget.unlimited) ?pool ?(reduce = true)
      search only pays the subset-construction blow-up when the inclusion
      genuinely requires it. *)
   Budget.with_phase budget "inclusion pre(Lω) ⊆ pre(Lω ∩ P)" (fun () ->
-      Inclusion.included ~budget ?pool ~subsumption:(subsumption_of reduce)
+      Inclusion.included ~budget ~subsumption:(subsumption_of reduce)
         pre_l pre_lp)
 
 let is_relative_safety ?(budget = Budget.unlimited) ?(reduce = true)
@@ -104,7 +104,7 @@ let is_relative_safety ?(budget = Budget.unlimited) ?(reduce = true)
       | None -> Ok ()
       | Some x -> Error x)
 
-let is_machine_closed ?(budget = Budget.unlimited) ?pool ?(reduce = true)
+let is_machine_closed ?(budget = Budget.unlimited) ?(reduce = true)
     ~system ~live_part () =
   let pre_l =
     reduce_nfa reduce (Buchi.pre_language ~budget (reduce_buchi reduce system))
@@ -115,7 +115,7 @@ let is_machine_closed ?(budget = Budget.unlimited) ?pool ?(reduce = true)
   in
   match
     Budget.with_phase budget "inclusion pre(Lω) ⊆ pre(Λ)" (fun () ->
-        Inclusion.included ~budget ?pool ~subsumption:(subsumption_of reduce)
+        Inclusion.included ~budget ~subsumption:(subsumption_of reduce)
           pre_l pre_lambda)
   with
   | Ok () -> true

@@ -71,7 +71,6 @@ val satisfies :
     valid on the original automata. *)
 val is_relative_liveness :
   ?budget:Rl_engine_kernel.Budget.t ->
-  ?pool:Rl_engine_kernel.Pool.t ->
   ?reduce:bool ->
   system:Buchi.t ->
   property ->
@@ -94,7 +93,6 @@ val is_relative_safety :
     relative liveness of [P] (the remark after Theorem 4.5). *)
 val is_machine_closed :
   ?budget:Rl_engine_kernel.Budget.t ->
-  ?pool:Rl_engine_kernel.Pool.t ->
   ?reduce:bool ->
   system:Buchi.t ->
   live_part:Buchi.t ->

@@ -86,8 +86,7 @@ let verdict_triple ?budget ?pool ~system p =
   let legs =
     [
       (fun () -> Result.is_ok (Relative.satisfies ?budget ~system p));
-      (fun () ->
-        Result.is_ok (Relative.is_relative_liveness ?budget ?pool ~system p));
+      (fun () -> Result.is_ok (Relative.is_relative_liveness ?budget ~system p));
       (fun () ->
         Result.is_ok (Relative.is_relative_safety ?budget ~system p));
     ]

@@ -63,7 +63,7 @@ let cancelled b = Atomic.get b.tripped <> None
 
 (* External cancellation: the service watchdog publishes an exhaustion
    record from *outside* the checking code, so every subsequent
-   tick/poll/flush on any domain raises and the abandoned check unwinds
+   tick/poll on any domain raises and the abandoned check unwinds
    at its next cooperative point. Unlike [exhaust] this never raises on
    the cancelling domain — the watchdog is not the one doing the work —
    and it never overwrites a record the check already tripped itself. *)
@@ -121,46 +121,6 @@ let tick b =
 let poll b =
   check_cancelled b;
   check_clock b
-
-(* Per-domain batched ticking: accumulate up to [batch] ticks locally and
-   publish them with a single fetch_and_add, so contention on the shared
-   counter is one CAS per [batch] states instead of one per state. *)
-
-let batch = 64
-
-type local = { budget : t; mutable pending : int }
-
-let local b = { budget = b; pending = 0 }
-
-(* The budget-contention injection point: widen the race window between
-   domains publishing to the same budget by spinning briefly before the
-   CAS. Verdicts must be unaffected — the chaos suites assert that. *)
-let contention_stall () =
-  if Fault.armed () && Fault.should_fire Fault.Budget_contention then
-    for _ = 1 to 64 do
-      Domain.cpu_relax ()
-    done
-
-let flush l =
-  let b = l.budget in
-  if l.pending = 0 then check_cancelled b
-  else begin
-    contention_stall ();
-    let n = l.pending in
-    l.pending <- 0;
-    let total = Atomic.fetch_and_add b.states n + n in
-    check_cancelled b;
-    (match b.max_states with
-    | Some m when total > m -> exhaust b total `States
-    | _ -> ());
-    match b.deadline with
-    | Some d when Unix.gettimeofday () > d -> exhaust b total `Time
-    | _ -> ()
-  end
-
-let tick_local l =
-  l.pending <- l.pending + 1;
-  if l.pending >= batch then flush l
 
 let set_phase b name = b.phase <- name
 

@@ -69,40 +69,13 @@ val cancelled : t -> bool
 
 (** [cancel ?phase b resource] exhausts [b] from the outside: it
     publishes an exhaustion record (unless one is already published)
-    without raising on the calling domain, so every later {!tick},
-    {!poll} or {!flush} on any domain raises {!Exhausted}. This is the
+    without raising on the calling domain, so every later {!tick} or
+    {!poll} on any domain raises {!Exhausted}. This is the
     service watchdog's lever: when a request blows its wall-clock
     deadline, the watchdog cancels its budget and the abandoned check
     unwinds at its next cooperative point. [phase] labels the record
     when the budget has no phase of its own. *)
 val cancel : ?phase:string -> t -> [ `States | `Time ] -> unit
-
-(** {2 Batched per-domain ticking}
-
-    Under parallel exploration, ticking the shared atomic counter once per
-    state would serialize the domains on one cache line. A {!local} is a
-    single-domain accumulator that publishes its count in batches of 64:
-    one CAS per 64 states. The price is precision — a limit overrun is
-    detected within [64 × domains] states of the limit — and that is the
-    documented accuracy contract of [--max-states] under [--jobs]. *)
-
-type local
-
-(** [local b] is a fresh per-domain view of [b]. Never share a [local]
-    between domains. *)
-val local : t -> local
-
-(** [tick_local l] records one state locally, publishing (and checking
-    limits) every 64 ticks.
-    @raise Exhausted when a publish detects an exceeded or cancelled
-    budget. *)
-val tick_local : local -> unit
-
-(** [flush l] publishes any pending local ticks immediately and checks the
-    limits (also checks for cancellation when nothing is pending). Call it
-    when a worker finishes its slice of work so no ticks are lost.
-    @raise Exhausted as {!tick_local}. *)
-val flush : local -> unit
 
 (** [set_phase b name] labels the work done from now on; the label is
     reported in {!exhaustion} and in partial-progress statistics. *)

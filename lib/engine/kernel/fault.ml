@@ -1,8 +1,7 @@
 (* Deterministic fault injection: named points, seeded schedules.
 
    Probes run on arbitrary domains (the pool-death probe runs on worker
-   domains, the budget probe wherever a budget is published), so the
-   per-point state sits behind one mutex. That lock is taken only when a
+   domains), so the per-point state sits behind one mutex. That lock is taken only when a
    schedule is armed — the disarmed fast path is a single read of
    [armed_flag] — and chaos runs are exactly the runs where a little
    extra synchronization is the point, not a problem.
@@ -17,7 +16,6 @@
 
 type point =
   | Pool_domain_death
-  | Budget_contention
   | Cache_miss_storm
   | Malformed_input
   | Deadline_expiry
@@ -27,7 +25,6 @@ exception Injected of point
 let all =
   [
     Pool_domain_death;
-    Budget_contention;
     Cache_miss_storm;
     Malformed_input;
     Deadline_expiry;
@@ -35,7 +32,6 @@ let all =
 
 let name = function
   | Pool_domain_death -> "pool_domain_death"
-  | Budget_contention -> "budget_contention"
   | Cache_miss_storm -> "cache_miss_storm"
   | Malformed_input -> "malformed_input"
   | Deadline_expiry -> "deadline_expiry"
@@ -43,10 +39,9 @@ let name = function
 let of_name s = List.find_opt (fun p -> String.equal (name p) s) all
 let index p = match p with
   | Pool_domain_death -> 0
-  | Budget_contention -> 1
-  | Cache_miss_storm -> 2
-  | Malformed_input -> 3
-  | Deadline_expiry -> 4
+  | Cache_miss_storm -> 1
+  | Malformed_input -> 2
+  | Deadline_expiry -> 3
 
 let npoints = List.length all
 

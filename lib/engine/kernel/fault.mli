@@ -14,9 +14,6 @@
     - {!Pool_domain_death} — a pool worker domain dies at the moment it
       picks up a parallel region's job (probed in [Pool.worker_loop]).
       Exercises the death-safe barrier, slot repair and {!Pool.heal}.
-    - {!Budget_contention} — a budget publish spins briefly before its
-      CAS, widening the race window between domains racing to exhaust the
-      same budget (probed in [Budget.flush]/[Budget.charge]).
     - {!Cache_miss_storm} — a {!Simcache} lookup pretends the entry is
       absent and recomputes, simulating an evicted / cold cache under a
       hostile workload (probed in [Simcache.find_or_compute]).
@@ -41,7 +38,6 @@
 
 type point =
   | Pool_domain_death
-  | Budget_contention
   | Cache_miss_storm
   | Malformed_input
   | Deadline_expiry

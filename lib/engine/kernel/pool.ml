@@ -2,9 +2,9 @@
 
    Spawning a domain costs far more than a region's setup, so the pool
    spawns its [size - 1] workers once and parks them on a condition
-   variable. Each parallel region ([parfan]/[run_members]) publishes one
-   job — a closure every member runs to completion — bumps an epoch,
-   wakes the workers, and participates itself as member 0. Inside a
+   variable. Each parallel region ([parfan]) publishes one job — a
+   closure every member runs to completion — bumps an epoch, wakes the
+   workers, and participates itself as member 0. Inside a
    [parfan] job, members claim thunks from a shared atomic cursor, so
    fast members take more of them.
 
@@ -89,11 +89,11 @@ let worker_loop pool me start_epoch =
              death included — retires this worker. The pending decrement
              comes first and unconditionally: the barrier must complete
              even as the worker dies. *)
-          (* quick_stat is domain-local: sample around the job body so
+          (* GC counters are domain-local: sample around the job body so
              the worker's allocation is folded into the shared Stats
              accumulators — without this, --stats under --jobs N would
              report the main domain only *)
-          let g0 = Gc.quick_stat () in
+          let g0 = Stats.gc_sample () in
           let death =
             match
               if Fault.armed () then Fault.fire Fault.Pool_domain_death;
@@ -102,7 +102,7 @@ let worker_loop pool me start_epoch =
             | () -> None
             | exception e -> Some e
           in
-          Stats.note_domain_gc ~before:g0 ~after:(Gc.quick_stat ());
+          Stats.note_domain_gc ~before:g0 ~after:(Stats.gc_sample ());
           Mutex.lock pool.mutex;
           pool.pending <- pool.pending - 1;
           if pool.pending = 0 then Condition.signal pool.finished;
@@ -165,9 +165,9 @@ let heals pool =
 
 let degraded pool = alive pool < Array.length pool.workers
 
-(* Respawn dead workers. Must only be called between regions (the daemon
-   heals between requests); a spawn failure leaves the remaining dead
-   slots dead — the pool keeps running on the survivors. *)
+(* Respawn dead workers. Must only be called between regions; a spawn
+   failure leaves the remaining dead slots dead — the pool keeps running
+   on the survivors. *)
 let heal pool =
   Mutex.lock pool.mutex;
   Array.iteri
@@ -184,21 +184,6 @@ let heal pool =
       end)
     pool.workers;
   Mutex.unlock pool.mutex
-
-(* Region-safe healing for a pool shared across service handler threads:
-   [heal] alone must not run while another thread's parallel region is in
-   flight, so this claims the region slot first. While we hold [busy],
-   concurrent regions lose the CAS and run inline serially — correct
-   either way. Returns [false] when the slot is taken; the caller just
-   tries again after its next batch. *)
-let try_heal pool =
-  if Atomic.compare_and_set pool.busy false true then begin
-    Fun.protect
-      ~finally:(fun () -> Atomic.set pool.busy false)
-      (fun () -> heal pool);
-    true
-  end
-  else false
 
 let shutdown pool =
   if Array.length pool.workers > 0 then begin
@@ -293,25 +278,6 @@ let run_parallel (type a) pool (thunks : (unit -> a) array) : a array =
       if results.(j) = None then results.(j) <- Some (thunks.(j) ())
     done;
     Array.map (function Some v -> v | None -> assert false) results
-  end
-
-(* Hand the raw membership to a caller-supplied scheduler: [body member]
-   runs once on every live member, member 0 being the caller. This is
-   the work-stealing engine's entry point — unlike [parfan] there is no
-   index space and no repair pass, so the body must tolerate members
-   that die mid-job (the barrier itself always completes) and must
-   catch its own exceptions (a caller-side raise is swallowed by
-   [run_job]'s barrier discipline). Returns [false] without running
-   anything when the pool is serial or a region is already in flight —
-   the caller falls back to its serial path. *)
-let run_members pool body =
-  if pool.size = 1 || not (Atomic.compare_and_set pool.busy false true) then
-    false
-  else begin
-    Fun.protect
-      ~finally:(fun () -> Atomic.set pool.busy false)
-      (fun () -> run_job pool body);
-    true
   end
 
 (* Independent thunks are whole sub-checks, so the fan-out is

@@ -1,10 +1,9 @@
 (** A fixed-size pool of worker domains for the parallel checking engine.
 
-    The PSPACE deciders run two kinds of parallel region on it: the
-    work-stealing antichain inclusion search ({!run_members}), and the
-    independent legs of a full verdict ({!parfan}) — for instance the
-    three Theorem 4.7 checks. Every {e observable} result stays
-    deterministic.
+    Its one kind of parallel region, {!parfan}, runs independent
+    sub-checks side by side: the three Theorem 4.7 legs of a full
+    verdict, or the classification checks of [rlcheck decompose]. Every
+    {e observable} result stays deterministic.
 
     {2 Shape}
 
@@ -19,9 +18,7 @@
 
     {!parfan} returns results positionally: [parfan p thunks] is
     extensionally [List.map (fun th -> th ()) thunks] whenever the thunks
-    are deterministic. The work-stealing search answers directly only
-    when its verdict is schedule-independent and otherwise replays the
-    serial search, so verdicts, witnesses and exit codes are
+    are deterministic, so verdicts, witnesses and exit codes are
     byte-identical for every [--jobs] value. Nested parallel regions — a
     task that calls back into its own pool — run inline serially, which
     both preserves that contract and makes deadlock impossible.
@@ -67,18 +64,10 @@ val deaths : t -> int
 (** Workers respawned by {!heal} since creation. *)
 val heals : t -> int
 
-(** [heal p] respawns every dead worker. Call between regions only (the
-    daemon heals between requests); concurrent regions on other domains
-    are not supported during a heal. *)
+(** [heal p] respawns every dead worker. Call between regions only;
+    concurrent regions on other domains are not supported during a
+    heal. *)
 val heal : t -> unit
-
-(** [try_heal p] is {!heal} made safe for a pool shared across handler
-    threads: it claims the pool's region slot first (so the respawn
-    cannot overlap a parallel region on another thread — concurrent
-    regions run inline serially meanwhile) and returns [false] without
-    healing when a region currently holds the slot. The daemon calls it
-    after each batch; a skipped heal is retried after the next one. *)
-val try_heal : t -> bool
 
 (** [shutdown p] wakes the workers, asks them to exit, and joins them.
     Idempotent. A pool must not be used after shutdown. *)
@@ -87,21 +76,6 @@ val shutdown : t -> unit
 (** [with_pool ?jobs f] runs [f] on a fresh pool and shuts it down
     afterwards, also on exceptions. *)
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-
-(** [run_members p body] claims the pool's region slot and runs
-    [body member] once on every live member — the caller as member [0],
-    each live worker under its own member index in [1 .. size-1] —
-    returning [true] after all of them finish. Returns [false] without
-    running anything when the pool is serial ([size p = 1]) or another
-    region holds the slot (nested call); the caller then falls back to
-    its serial path. This is the primitive beneath the work-stealing
-    engine: there is no index space, no positional result and no repair
-    pass, so the body must coordinate through its own shared structures,
-    tolerate members that die mid-job (the join barrier still
-    completes), and catch its own exceptions — an escaping worker-side
-    exception retires that worker, and a caller-side one is swallowed by
-    the barrier discipline. *)
-val run_members : t -> (int -> unit) -> bool
 
 (** [parfan p thunks] runs independent sub-checks concurrently and
     returns their results in order. If any thunk raises, the region stops

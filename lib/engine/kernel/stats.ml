@@ -4,9 +4,9 @@
    atomic add per antichain event is noise next to the bitset work the
    event represents, so they stay on unconditionally and [--stats] is
    purely a reporting flag. GC behavior is measured as deltas of
-   [Gc.quick_stat] between two {!snapshot}s: [quick_stat] reads
-   domain-local accumulators and never forces a collection, so the
-   probe itself is cheap and allocation-free.
+   [gc_sample] between two {!snapshot}s: it reads domain-local
+   accumulators and never forces a collection, so the probe itself is
+   cheap.
 
    Phase wall-clock times are recorded by [Budget.with_phase] into a
    mutex-guarded table here (deciders running under [Pool] may finish
@@ -18,16 +18,10 @@ let nodes = Atomic.make 0
 let antichain_hits = Atomic.make 0
 let evictions = Atomic.make 0
 let arena_hw_words = Atomic.make 0
-let steals = Atomic.make 0
-let parks = Atomic.make 0
-let shard_contention = Atomic.make 0
 
 let incr_nodes () = Atomic.incr nodes
 let incr_antichain_hits () = Atomic.incr antichain_hits
 let incr_evictions () = Atomic.incr evictions
-let incr_steals () = Atomic.incr steals
-let incr_parks () = Atomic.incr parks
-let incr_shard_contention () = Atomic.incr shard_contention
 
 let note_arena_words w =
   let rec go () =
@@ -38,12 +32,18 @@ let note_arena_words w =
 
 (* --- worker-domain GC aggregation --- *)
 
-(* [Gc.quick_stat] reads domain-local accumulators, so a snapshot taken
-   on the calling domain misses every word a pool worker allocated. The
-   pool therefore samples each worker's quick_stat around its share of a
-   job and folds the deltas in here; [snapshot] adds the fold to the
-   caller's own quick_stat, so --stats tables and the allocation bars
-   cover all domains, and diffs stay monotonic. *)
+(* [Gc.quick_stat]'s [minor_words] on OCaml 5.1 advances only at a
+   minor collection, so an interval with no collection in it read 0
+   words; [Gc.minor_words ()] also counts the live part of the current
+   minor heap, so it is exact at any point. *)
+let gc_sample () = { (Gc.quick_stat ()) with Gc.minor_words = Gc.minor_words () }
+
+(* [gc_sample] reads domain-local accumulators, so a snapshot taken on
+   the calling domain misses every word a pool worker allocated. The
+   pool therefore samples each worker around its share of a job and
+   folds the deltas in here; [snapshot] adds the fold to the caller's
+   own sample, so --stats tables and the allocation bars cover all
+   domains, and diffs stay monotonic. *)
 
 let dom_mutex = Mutex.create ()
 let dom_minor = ref 0.
@@ -99,9 +99,6 @@ type snapshot = {
   antichain_hits : int;
   evictions : int;
   arena_high_water_words : int;
-  steals : int;
-  parks : int;
-  shard_contention : int;
   sim_hits : int;
   sim_misses : int;
   minor_words : float;
@@ -112,7 +109,7 @@ type snapshot = {
 }
 
 let snapshot () =
-  let g = Gc.quick_stat () in
+  let g = gc_sample () in
   let sim_hits, sim_misses, _ = Simcache.stats () in
   Mutex.lock dom_mutex;
   let dm = !dom_minor
@@ -127,9 +124,6 @@ let snapshot () =
     antichain_hits = Atomic.get antichain_hits;
     evictions = Atomic.get evictions;
     arena_high_water_words = Atomic.get arena_hw_words;
-    steals = Atomic.get steals;
-    parks = Atomic.get parks;
-    shard_contention = Atomic.get shard_contention;
     sim_hits;
     sim_misses;
     minor_words = g.Gc.minor_words +. dm;
@@ -149,9 +143,6 @@ let diff ~before ~after =
     antichain_hits = after.antichain_hits - before.antichain_hits;
     evictions = after.evictions - before.evictions;
     arena_high_water_words = after.arena_high_water_words;
-    steals = after.steals - before.steals;
-    parks = after.parks - before.parks;
-    shard_contention = after.shard_contention - before.shard_contention;
     sim_hits = after.sim_hits - before.sim_hits;
     sim_misses = after.sim_misses - before.sim_misses;
     minor_words = after.minor_words -. before.minor_words;
@@ -175,8 +166,6 @@ let pp_human ppf s =
   line "  antichain hits       %10d@," s.antichain_hits;
   line "  antichain evictions  %10d@," s.evictions;
   line "  arena high water     %10d words@," s.arena_high_water_words;
-  line "  steals / parks       %10d / %d@," s.steals s.parks;
-  line "  shard contention     %10d@," s.shard_contention;
   line "  simcache hits/misses %10d / %d@," s.sim_hits s.sim_misses;
   line "  minor words          %14.0f  (%.2f / node)@," s.minor_words
     (minor_words_per_node s);
@@ -219,9 +208,6 @@ let to_json ?(extra = []) s =
   field "antichain_hits" (string_of_int s.antichain_hits);
   field "evictions" (string_of_int s.evictions);
   field "arena_high_water_words" (string_of_int s.arena_high_water_words);
-  field "steals" (string_of_int s.steals);
-  field "parks" (string_of_int s.parks);
-  field "shard_contention" (string_of_int s.shard_contention);
   field "sim_hits" (string_of_int s.sim_hits);
   field "sim_misses" (string_of_int s.sim_misses);
   field "minor_words" (Printf.sprintf "%.0f" s.minor_words);

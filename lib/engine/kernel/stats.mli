@@ -3,8 +3,8 @@
     The counters are global [Atomic]s bumped from the hot paths — one
     atomic add per antichain event — so they are on unconditionally and
     [rlcheck --stats] is purely a reporting flag. GC behavior is read as
-    deltas of [Gc.quick_stat] between two {!snapshot}s; [quick_stat]
-    never forces a collection, so probing is itself allocation-free.
+    deltas of {!gc_sample} between two {!snapshot}s; sampling never
+    forces a collection.
     Counters are monotonic for the process lifetime: callers wanting a
     per-run figure take a snapshot before and after and {!diff} them. *)
 
@@ -23,22 +23,16 @@ val incr_evictions : unit -> unit
     [w] if larger (max-merge across engines and calls). *)
 val note_arena_words : int -> unit
 
-(** One successful steal by a work-stealing member (it took a node from
-    another member's deque). *)
-val incr_steals : unit -> unit
-
-(** One parking episode: a member found every deque empty and spun or
-    slept until work (or quiescence) appeared. *)
-val incr_parks : unit -> unit
-
-(** One contended antichain-shard lock acquisition ([Mutex.try_lock]
-    failed and the member had to block). *)
-val incr_shard_contention : unit -> unit
+(** [gc_sample ()] is the calling domain's [Gc.quick_stat] with
+    [minor_words] taken from [Gc.minor_words ()], which, unlike
+    [quick_stat]'s field, also counts words allocated since the last
+    minor collection. *)
+val gc_sample : unit -> Gc.stat
 
 (** [note_domain_gc ~before ~after] folds one worker domain's
-    [Gc.quick_stat] delta into the process-wide accumulators that
-    {!snapshot} adds to the calling domain's own figures. [quick_stat]
-    is domain-local, so without this a [--jobs N] run would report only
+    {!gc_sample} delta into the process-wide accumulators that
+    {!snapshot} adds to the calling domain's own figures. The sample is
+    domain-local, so without this a [--jobs N] run would report only
     the main domain's allocation. The pool calls it around each worker's
     share of a job; thread-safe. *)
 val note_domain_gc : before:Gc.stat -> after:Gc.stat -> unit
@@ -61,9 +55,6 @@ type snapshot = {
   antichain_hits : int;
   evictions : int;
   arena_high_water_words : int;
-  steals : int;  (** work-stealing: nodes taken from another member *)
-  parks : int;  (** work-stealing: empty-deque parking episodes *)
-  shard_contention : int;  (** contended antichain-shard acquisitions *)
   sim_hits : int;  (** {!Simcache} hits *)
   sim_misses : int;
   minor_words : float;

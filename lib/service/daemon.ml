@@ -10,19 +10,17 @@
    abusive client throttles itself, not the daemon. Replies to one
    connection are serialized by a per-connection write mutex and carry
    the client's request id, so interleaved replies stay attributable.
-   All connections share the domain pool, the request cache and the
-   simulation cache, each behind its own lock; the daemon's own counters
-   sit behind [d.lock].
+   Every job is decided on one domain. All connections share the request
+   cache and the simulation cache, each behind its own lock; the
+   daemon's own counters sit behind [d.lock].
 
    Failure domains, from the inside out: a job that crashes is a typed
    error in its own result slot; a job that blows the batch deadline is
    abandoned (budget cancelled, worker thread orphaned) and the batch
    cut short with per-job partial results; a connection that sends
    garbage gets an error reply and may try again; a connection whose
-   handler blows up is closed alone; a worker domain that dies is healed
-   between batches, and a pool that cannot be healed is abandoned for
-   serial execution. Nothing in a request's path can take the accept
-   loop down short of the process being killed.
+   handler blows up is closed alone. Nothing in a request's path can
+   take the accept loop down short of the process being killed.
 
    Shutdown drains: the handler that reads [shutdown] replies, then
    flips [d.stopping], wakes the acceptor with a self-connection, and
@@ -33,7 +31,6 @@
 
 module Budget = Rl_engine.Budget
 module Error = Rl_engine.Error
-module Pool = Rl_engine.Pool
 module Fault = Rl_engine.Fault
 module Simcache = Rl_engine.Simcache
 module Stats = Rl_engine.Stats
@@ -42,7 +39,6 @@ module J = Jsonx
 
 type config = {
   socket_path : string;
-  jobs : int;
   deadline_s : float option;
   model_cache_capacity : int;
   max_batch : int;
@@ -53,7 +49,6 @@ type config = {
 let default_config ~socket_path =
   {
     socket_path;
-    jobs = 1;
     deadline_s = None;
     model_cache_capacity = 256;
     max_batch = 256;
@@ -84,10 +79,8 @@ type t = {
   config : config;
   started : float;
   cache : Request.cache;
-  mutable pool : Pool.t option;
-  mutable pool_broken : bool; (* healing failed: serial fallback for good *)
   counters : counters;
-  lock : Mutex.t; (* counters, pool fields, connection registry *)
+  lock : Mutex.t; (* counters, connection registry *)
   mutable stopping : bool;
   conns : (int, Unix.file_descr) Hashtbl.t; (* live connections *)
   handlers : (int, Thread.t) Hashtbl.t; (* their handler threads *)
@@ -200,44 +193,8 @@ let parse_job j =
 
 (* --- the batch executor: sequential jobs, one shared wall clock --- *)
 
-let heal_pool d =
-  Mutex.lock d.lock;
-  let target =
-    match d.pool with
-    | Some p when Pool.degraded p && not d.pool_broken -> Some p
-    | _ -> None
-  in
-  Mutex.unlock d.lock;
-  match target with
-  | None -> ()
-  | Some p -> (
-      (* [try_heal], not [heal]: batches on other connections may be on
-         the pool right now, and healing must not overlap a parallel
-         region. A lost claim just means the next finishing batch
-         retries. *)
-      match Pool.try_heal p with
-      | true ->
-          log d "rlcheckd: healed pool (%d worker(s) respawned so far)@."
-            (Pool.heals p)
-      | false -> ()
-      | exception e ->
-          (* cannot respawn domains: abandon the pool and run serially
-             from here on — degraded but alive *)
-          Mutex.lock d.lock;
-          d.pool_broken <- true;
-          d.pool <- None;
-          Mutex.unlock d.lock;
-          log d "rlcheckd: pool heal failed (%s); falling back to serial@."
-            (Printexc.to_string e))
-
 let run_batch d ~deadline_s jobs =
   bump d (fun c -> c.batches <- c.batches + 1);
-  let pool =
-    Mutex.lock d.lock;
-    let p = d.pool in
-    Mutex.unlock d.lock;
-    p
-  in
   let t0 = Unix.gettimeofday () in
   let deadline = Option.map (fun s -> t0 +. s) deadline_s in
   let partial = ref false in
@@ -274,7 +231,7 @@ let run_batch d ~deadline_s jobs =
                unwinds at its next tick instead of running to completion
                as a zombie *)
             let budget = Request.budget_of_job job in
-            let body () = Request.run ?pool ~cache:d.cache ~budget job in
+            let body () = Request.run ~cache:d.cache ~budget job in
             match
               Supervisor.supervise ?deadline_s:remaining ~budget body
             with
@@ -304,7 +261,6 @@ let run_batch d ~deadline_s jobs =
                 deadline_json i e ~started:true))
       jobs
   in
-  heal_pool d;
   (results, !partial)
 
 (* --- stats --- *)
@@ -314,32 +270,11 @@ let stats_json d =
      the same way so a stats reply is internally consistent *)
   Mutex.lock d.lock;
   let c = { d.counters with requests = d.counters.requests } in
-  let pool = d.pool and pool_broken = d.pool_broken in
   let active_conns = Hashtbl.length d.conns in
   Mutex.unlock d.lock;
   let sim_hits, sim_misses, sim_entries = Simcache.stats () in
   let rate h m = if h + m = 0 then J.Null else J.Num (float_of_int h /. float_of_int (h + m)) in
   let r = Request.stats d.cache in
-  let pool_json =
-    match pool with
-    | None ->
-        J.Obj
-          [
-            ("jobs", J.Num 1.);
-            ("degraded", J.Bool pool_broken);
-            ("serial_fallback", J.Bool pool_broken);
-          ]
-    | Some p ->
-        J.Obj
-          [
-            ("jobs", J.Num (float_of_int (Pool.size p)));
-            ("alive_workers", J.Num (float_of_int (Pool.alive p)));
-            ("degraded", J.Bool (Pool.degraded p));
-            ("deaths", J.Num (float_of_int (Pool.deaths p)));
-            ("heals", J.Num (float_of_int (Pool.heals p)));
-            ("serial_fallback", J.Bool false);
-          ]
-  in
   J.Obj
     [
       ("uptime_s", J.Num (Unix.gettimeofday () -. d.started));
@@ -365,7 +300,6 @@ let stats_json d =
             ("deadlines", J.Num (float_of_int c.deadlines));
             ("skipped", J.Num (float_of_int c.skipped));
           ] );
-      ("pool", pool_json);
       (* the engine's process-lifetime hot-path counters — the same
          figures `rlcheck --stats` reports per run, but monotonic since
          daemon start (clients diff successive stats replies) *)
@@ -376,10 +310,6 @@ let stats_json d =
             ("nodes", J.Num (float_of_int s.Stats.nodes));
             ("antichain_hits", J.Num (float_of_int s.Stats.antichain_hits));
             ("evictions", J.Num (float_of_int s.Stats.evictions));
-            ("steals", J.Num (float_of_int s.Stats.steals));
-            ("parks", J.Num (float_of_int s.Stats.parks));
-            ( "shard_contention",
-              J.Num (float_of_int s.Stats.shard_contention) );
             ( "arena_high_water_words",
               J.Num (float_of_int s.Stats.arena_high_water_words) );
             ("minor_words", J.Num s.Stats.minor_words);
@@ -668,8 +598,6 @@ let serve config =
       config;
       started = Unix.gettimeofday ();
       cache = Request.cache ~capacity:config.model_cache_capacity ();
-      pool = None;
-      pool_broken = false;
       counters =
         {
           requests = 0;
@@ -702,16 +630,12 @@ let serve config =
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close sock with Unix.Unix_error _ -> ());
-      (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
-      match d.pool with Some p -> Pool.shutdown p | None -> ())
+      try Unix.unlink config.socket_path with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.bind sock (Unix.ADDR_UNIX config.socket_path);
       Unix.listen sock 16;
-      if config.jobs <> 1 then d.pool <- Some (Pool.create ~jobs:config.jobs ());
-      log d "rlcheckd: listening on %s (pool: %d, connections: %d)@."
-        config.socket_path
-        (match d.pool with Some p -> Pool.size p | None -> 1)
-        config.max_connections;
+      log d "rlcheckd: listening on %s (connections: %d)@."
+        config.socket_path config.max_connections;
       let refuse fd active =
         bump d (fun c -> c.rejected <- c.rejected + 1);
         let oc = Unix.out_channel_of_descr fd in

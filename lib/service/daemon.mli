@@ -3,7 +3,7 @@
     A Unix-socket server speaking newline-delimited JSON: each line is
     one request document, answered with one reply line. Batches of
     (model, property, check-kind) jobs execute through the same
-    {!Request} layer as the CLI, on a shared domain pool, with the
+    {!Request} layer as the CLI, each job decided on one domain, with the
     fingerprint-keyed simulation cache and a bounded parsed-model cache
     amortized across requests.
 
@@ -34,23 +34,18 @@
     result.
 
     Control requests: [{"op": "ping"}], [{"op": "stats"}] (the health
-    report: uptime, request/job counters, pool liveness and degradation,
-    cache hit rates and evictions, watchdog zombies, fault-injection
-    status), [{"op": "shutdown"}].
+    report: uptime, request/job counters, cache hit rates and evictions,
+    watchdog zombies, fault-injection status), [{"op": "shutdown"}].
 
     {2 Fault tolerance}
 
     Every job runs under {!Supervisor}: exceptions become typed errors
     in the job's result, never a daemon crash; deadline overruns are
-    abandoned with their budget cancelled. Between batches the daemon
-    heals dead pool workers ({!Rl_engine.Pool.heal}); if healing itself
-    fails, it drops to serial execution for good — degraded, alive, and
-    visibly flagged in [stats]. Malformed request lines get an
+    abandoned with their budget cancelled. Malformed request lines get an
     [{"ok": false, "error": ...}] reply and the connection stays open. *)
 
 type config = {
   socket_path : string;
-  jobs : int;  (** pool size; 1 = serial, 0 = one domain per core *)
   deadline_s : float option;
       (** default per-batch wall-clock deadline; a request's
           ["deadline_s"] overrides it *)
@@ -72,7 +67,7 @@ val default_config : socket_path:string -> config
     hijack the path.
 
     Connections are served concurrently, one handler thread each, up to
-    [max_connections]; all of them share the domain pool and the caches.
+    [max_connections]; all of them share the caches.
     Within a connection, control ops answer inline while check batches
     may run on worker threads, so replies to pipelined requests can
     arrive out of order — each reply echoes its request's ["id"]

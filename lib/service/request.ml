@@ -362,7 +362,7 @@ let uncertified failure =
 
 (* --- the decision step, one arm per kind, wording preserved --- *)
 
-let decide ?pool ~budget ~fresh job f ts =
+let decide ~budget ~fresh job f ts =
   let alpha = Nfa.alphabet ts in
   let system = Buchi.of_transition_system ts in
   let p = Relative.ltl alpha f in
@@ -380,7 +380,7 @@ let decide ?pool ~budget ~fresh job f ts =
               let w = Format.asprintf "%a" (Lasso.pp alpha) cex in
               `Fails (Printf.sprintf "VIOLATED: counterexample %s" w, w)))
   | Rl -> (
-      match Relative.is_relative_liveness ~budget ?pool ~system p with
+      match Relative.is_relative_liveness ~budget ~system p with
       | Ok () ->
           `Holds
             (Format.asprintf
@@ -445,9 +445,9 @@ let decide_key job f ts =
 (* the decide step behind the outcome memo; returns the verdict plus the
    states count to report when the decide itself was skipped. Without a
    cache (the CLI) this is just [decide]. *)
-let decide_incremental ?pool ?cache ~budget ~fresh job f ts =
+let decide_incremental ?cache ~budget ~fresh job f ts =
   match cache with
-  | None -> (decide ?pool ~budget ~fresh job f ts, None)
+  | None -> (decide ~budget ~fresh job f ts, None)
   | Some c -> (
       let digest =
         if decide_memoizable job then Some (decide_key job f ts) else None
@@ -456,7 +456,7 @@ let decide_incremental ?pool ?cache ~budget ~fresh job f ts =
       | Some (Decided o) -> (o.o_verdict, Some o.o_states)
       | _ ->
           locked c (fun () -> c.decides <- c.decides + 1);
-          let verdict = decide ?pool ~budget ~fresh job f ts in
+          let verdict = decide ~budget ~fresh job f ts in
           Option.iter
             (fun d ->
               store c Decide d
@@ -468,7 +468,7 @@ let decide_incremental ?pool ?cache ~budget ~fresh job f ts =
             digest;
           (verdict, None))
 
-let run ?pool ?cache ?budget job =
+let run ?cache ?budget job =
   let t0 = Unix.gettimeofday () in
   (* the daemon passes the budget in so its watchdog can cancel it on a
      wall-clock deadline; the CLI lets us create it here *)
@@ -517,7 +517,7 @@ let run ?pool ?cache ?budget job =
                       Blocked ""
                 | `Proceed (visible, ts) -> (
                     let verdict, states =
-                      decide_incremental ?pool ?cache ~budget ~fresh job f ts
+                      decide_incremental ?cache ~budget ~fresh job f ts
                     in
                     match verdict with
                     | `Holds message ->

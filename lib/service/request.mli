@@ -127,14 +127,12 @@ val stats : cache -> stats
     is passed in. *)
 val budget_of_job : job -> Rl_engine.Budget.t
 
-(** [run ?pool ?cache ?budget job] executes one job to completion on the
-    calling thread. [pool] provides intra-job parallelism (shared across
-    requests by the daemon); [budget] lets the caller keep a handle on
+(** [run ?cache ?budget job] executes one job to completion on the
+    calling thread. [budget] lets the caller keep a handle on
     the job's budget — the daemon's watchdog cancels it when the
     wall-clock deadline fires, unwinding a cooperative body at its next
     tick. Never raises. *)
 val run :
-  ?pool:Rl_engine.Pool.t ->
   ?cache:cache ->
   ?budget:Rl_engine.Budget.t ->
   job ->

@@ -15,10 +15,7 @@
       carrying {!Deadline} — and cancels the request's budget
       ({!Rl_engine.Budget.cancel}), so a cooperative body unwinds at its
       next tick. A truly stuck body leaves a zombie thread behind; the
-      daemon survives, counts it, and keeps serving (a body stuck inside
-      a pool region leaves the pool busy, in which case later requests
-      degrade to inline-serial execution until it unwinds — the
-      documented ladder, not a hang).
+      daemon survives, counts it, and keeps serving.
 
     The {!Rl_engine.Fault.Deadline_expiry} injection point fires the
     watchdog path without waiting for a real overrun. *)

@@ -318,6 +318,28 @@ let prop_witnesses_certified =
       in
       sat_ok && rl_ok && ext_ok)
 
+(* --- Stats --- *)
+
+(* Minor words must count allocation that no minor collection has
+   flushed yet: a short check fits inside the minor heap, and a counter
+   that advanced only at collections would read it as free. *)
+let test_stats_minor_words_exact () =
+  let module Stats = Rl_engine.Stats in
+  let n = 10_000 in
+  Gc.minor ();
+  let before = Stats.snapshot () in
+  let l = Sys.opaque_identity (List.init n Fun.id) in
+  let after = Stats.snapshot () in
+  ignore (Sys.opaque_identity l);
+  let d = Stats.diff ~before ~after in
+  Alcotest.(check int) "no minor collection in between" 0
+    d.Stats.minor_collections;
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 3 words per cons (got %.0f for %d)"
+       d.Stats.minor_words n)
+    true
+    (d.Stats.minor_words >= float_of_int (3 * n))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -355,6 +377,11 @@ let () =
           Alcotest.test_case "extension oracle" `Quick
             test_certify_extension_mismatch;
           Alcotest.test_case "Theorem 4.7 triple" `Quick test_certify_triple;
+        ] );
+      ( "stats",
+        [
+          Alcotest.test_case "minor words without a collection" `Quick
+            test_stats_minor_words_exact;
         ] );
       ("properties", qsuite);
     ]

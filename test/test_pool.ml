@@ -1,12 +1,12 @@
-(* The domain pool and the determinism contract of the parallel engine:
-   identical verdicts, witnesses and exhaustion behavior for every --jobs
-   value, and domain-safe budget accounting. *)
+(* The domain pool and the determinism contract of its fan-out: identical
+   verdicts and exhaustion behavior for every --jobs value, and
+   domain-safe budget accounting. *)
 
 open Rl_sigma
-open Rl_automata
 open Rl_buchi
 open Rl_core
 module Budget = Rl_engine.Budget
+module Certify = Rl_engine.Certify
 module Pool = Rl_engine.Pool
 
 (* The suite honors RLCHECK_JOBS so CI can re-run it at a different pool
@@ -76,19 +76,17 @@ let test_budget_race () =
   with_pool @@ fun pool ->
   let limit = 10_000 in
   let budget = Budget.create ~max_states:limit () in
-  (* every member ticks far past the limit through its own batched local —
-     2×limit each, so even a member running alone must cross it; each must
-     be stopped by an Exhausted, and all must observe the same single
+  (* every member ticks the shared counter far past the limit — 2×limit
+     each, so even a member running alone must cross it; each must be
+     stopped by an Exhausted, and all must observe the same single
      exhaustion event *)
   let outcomes =
     fan pool
       (fun _ ->
-        let local = Budget.local budget in
         match
           for _ = 1 to 2 * limit do
-            Budget.tick_local local
-          done;
-          Budget.flush local
+            Budget.tick budget
+          done
         with
         | () -> None
         | exception Budget.Exhausted e -> Some e)
@@ -106,15 +104,17 @@ let test_budget_race () =
           Alcotest.(check int) "one exhaustion event, seen by all"
             first.Budget.states_explored e.Budget.states_explored)
         rest;
-      (* the batched accounting stays within one batch per member of the
-         limit: the --max-states accuracy contract under --jobs *)
+      (* fetch_and_add hands every tick a distinct total and a member
+         stops at its first total past the limit, so at most one tick per
+         member lands past it; the record is whichever of those totals
+         published first *)
       Alcotest.(check bool) "limit actually exceeded" true
         (first.Budget.states_explored > limit);
       Alcotest.(check bool)
-        (Printf.sprintf "within 64×%d of the limit (got %d)" jobs
+        (Printf.sprintf "within %d of the limit (got %d)" jobs
            first.Budget.states_explored)
         true
-        (first.Budget.states_explored <= limit + (64 * jobs))
+        (first.Budget.states_explored <= limit + jobs)
   | [] -> Alcotest.fail "unreachable");
   Alcotest.(check bool) "budget reports cancelled" true
     (Budget.cancelled budget);
@@ -193,18 +193,6 @@ let test_worker_death_partial_rate () =
 
 let abc = Alphabet.make [ "a"; "b"; "c" ]
 
-let gen_nfa_pair =
-  QCheck2.Gen.(
-    let* seed = 0 -- 1_000_000 in
-    let* na = 1 -- 6 in
-    let* nb = 1 -- 6 in
-    let rng = Helpers.mk_rng seed in
-    let mk states =
-      Rl_automata.Gen.nfa rng ~alphabet:abc ~states ~density:0.25
-        ~final_prob:0.5
-    in
-    return (mk na, mk nb))
-
 let gen_ts =
   QCheck2.Gen.(
     let* seed = 0 -- 1_000_000 in
@@ -216,147 +204,34 @@ let gen_ts =
 let gen_formula =
   Helpers.gen_formula_over ~max_size:4 [ "a"; "b"; "c" ] ~negations:true
 
-let prop_inclusion_jobs_invariant =
-  QCheck2.Test.make
-    ~name:"Inclusion.included: verdict and witness identical for jobs 1 vs N"
-    ~count:150 gen_nfa_pair (fun (a, b) ->
-      let serial = Inclusion.included a b in
-      let parallel = with_pool (fun pool -> Inclusion.included ~pool a b) in
-      match (serial, parallel) with
-      | Ok (), Ok () -> true
-      | Error w, Error w' -> Word.equal w w'
-      | _ -> false)
+(* [Certify.verdict_triple] fans its three Theorem 4.7 legs out over the
+   pool: three members give each leg its own domain *)
+let triple ?budget pool ts f =
+  Certify.verdict_triple ?budget ?pool
+    ~system:(Buchi.of_transition_system ts)
+    (Relative.ltl abc f)
 
-let prop_rl_verdict_jobs_invariant =
+let prop_triple_jobs_invariant =
   QCheck2.Test.make
-    ~name:"relative liveness: verdict and witness identical for jobs 1 vs N"
-    ~count:60
+    ~name:"Certify.verdict_triple: identical for jobs 1 vs 3" ~count:60
     QCheck2.Gen.(pair gen_ts gen_formula)
     (fun (ts, f) ->
-      let system = Buchi.of_transition_system ts in
-      let p = Relative.ltl abc f in
-      let serial = Relative.is_relative_liveness ~system p in
-      let parallel =
-        with_pool (fun pool -> Relative.is_relative_liveness ~pool ~system p)
-      in
-      match (serial, parallel) with
-      | Ok (), Ok () -> true
-      | Error w, Error w' -> Word.equal w w'
-      | _ -> false)
+      triple None ts f
+      = Pool.with_pool ~jobs:3 (fun pool -> triple (Some pool) ts f))
 
-let prop_exhaustion_jobs_invariant =
+let prop_triple_exhaustion_jobs_invariant =
   QCheck2.Test.make
-    ~name:"tiny budget: exhaustion point identical for jobs 1 vs N"
+    ~name:"tiny budget: verdict_triple exhausts for jobs 1 iff for jobs 3"
     ~count:60
-    QCheck2.Gen.(pair gen_nfa_pair (5 -- 40))
-    (fun ((a, b), limit) ->
+    QCheck2.Gen.(triple gen_ts gen_formula (5 -- 40))
+    (fun (ts, f, limit) ->
       let run pool =
         let budget = Budget.create ~max_states:limit () in
-        match Inclusion.included ~budget ?pool a b with
-        | Ok () -> `Ok
-        | Error w -> `Cex w
-        | exception Budget.Exhausted e -> `Exhausted e.Budget.states_explored
+        match triple ~budget pool ts f with
+        | t -> Some t
+        | exception Budget.Exhausted _ -> None
       in
-      run None = with_pool (fun pool -> run (Some pool)))
-
-(* --- the work-stealing scheduler leg --- *)
-
-(* The generated automata here are tiny (na*nb <= 36), far below the
-   default RLCHECK_WS_MIN product of 256, so without forcing the gate
-   every case would take the serial path and the work-stealing engine
-   would go untested. The gate is re-read per [Inclusion.included] call,
-   so a putenv around the check is enough. *)
-let with_ws_forced f =
-  Unix.putenv "RLCHECK_WS_MIN" "0";
-  Fun.protect ~finally:(fun () -> Unix.putenv "RLCHECK_WS_MIN" "256") f
-
-let prop_ws_inclusion_invariant =
-  QCheck2.Test.make
-    ~name:
-      "work stealing: Inclusion verdict and witness identical to serial"
-    ~count:150 gen_nfa_pair (fun (a, b) ->
-      let serial = Inclusion.included a b in
-      let ws =
-        with_ws_forced (fun () ->
-            with_pool (fun pool -> Inclusion.included ~pool a b))
-      in
-      match (serial, ws) with
-      | Ok (), Ok () -> true
-      | Error w, Error w' -> Word.equal w w'
-      | _ -> false)
-
-let prop_ws_rl_verdict_invariant =
-  QCheck2.Test.make
-    ~name:"work stealing: relative-liveness verdict identical to serial"
-    ~count:40
-    QCheck2.Gen.(pair gen_ts gen_formula)
-    (fun (ts, f) ->
-      let system = Buchi.of_transition_system ts in
-      let p = Relative.ltl abc f in
-      let serial = Relative.is_relative_liveness ~system p in
-      let ws =
-        with_ws_forced (fun () ->
-            with_pool (fun pool ->
-                Relative.is_relative_liveness ~pool ~system p))
-      in
-      match (serial, ws) with
-      | Ok (), Ok () -> true
-      | Error w, Error w' -> Word.equal w w'
-      | _ -> false)
-
-let prop_ws_budget_gate =
-  QCheck2.Test.make
-    ~name:
-      "work stealing: finite max_states keeps exhaustion identical (the \
-       eligibility gate routes to the counted path)"
-    ~count:60
-    QCheck2.Gen.(pair gen_nfa_pair (5 -- 40))
-    (fun ((a, b), limit) ->
-      let run pool =
-        let budget = Budget.create ~max_states:limit () in
-        match Inclusion.included ~budget ?pool a b with
-        | Ok () -> `Ok
-        | Error w -> `Cex w
-        | exception Budget.Exhausted e -> `Exhausted e.Budget.states_explored
-      in
-      run None
-      = with_ws_forced (fun () -> with_pool (fun pool -> run (Some pool))))
-
-(* Workers under [Pool_domain_death] die at job pickup, before the
-   member body runs: the work-stealing region then completes on the
-   caller plus whichever workers survived, stealing the dead members'
-   share. The verdicts must not notice. *)
-let test_ws_worker_death () =
-  with_ws_forced @@ fun () ->
-  with_pool @@ fun pool ->
-  let cases =
-    List.init 12 (fun i ->
-        let rng = Helpers.mk_rng (1000 + (37 * i)) in
-        let mk states =
-          Rl_automata.Gen.nfa rng ~alphabet:abc ~states ~density:0.25
-            ~final_prob:0.5
-        in
-        (mk (1 + (i mod 6)), mk (1 + ((i / 2) mod 6))))
-  in
-  let expect = List.map (fun (a, b) -> Inclusion.included a b) cases in
-  Fault.configure ~seed:11 [ (Fault.Pool_domain_death, 0.25) ];
-  Fun.protect ~finally:Fault.reset (fun () ->
-      List.iteri
-        (fun i (a, b) ->
-          let got = Inclusion.included ~pool a b in
-          let same =
-            match (List.nth expect i, got) with
-            | Ok (), Ok () -> true
-            | Error w, Error w' -> Word.equal w w'
-            | _ -> false
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "case %d verdict under dying workers" i)
-            true same;
-          Pool.heal pool)
-        cases);
-  Alcotest.(check int) "every death was healed" (Pool.deaths pool)
-    (Pool.heals pool)
+      run None = Pool.with_pool ~jobs:3 (fun pool -> run (Some pool)))
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -385,18 +260,9 @@ let () =
           Alcotest.test_case "fractional death rate across regions" `Quick
             test_worker_death_partial_rate;
         ] );
-      ( "properties",
+      ( "jobs-agnostic",
         [
-          qcheck prop_inclusion_jobs_invariant;
-          qcheck prop_rl_verdict_jobs_invariant;
-          qcheck prop_exhaustion_jobs_invariant;
-        ] );
-      ( "work stealing",
-        [
-          qcheck prop_ws_inclusion_invariant;
-          qcheck prop_ws_rl_verdict_invariant;
-          qcheck prop_ws_budget_gate;
-          Alcotest.test_case "verdicts survive dying workers" `Quick
-            test_ws_worker_death;
+          qcheck prop_triple_jobs_invariant;
+          qcheck prop_triple_exhaustion_jobs_invariant;
         ] );
     ]

@@ -455,118 +455,6 @@ let prop_prng_roughly_uniform =
       (* expected 500 per bucket; allow generous slack *)
       Array.for_all (fun c -> c > 300 && c < 700) buckets)
 
-(* --- Deque --- *)
-
-let test_deque_basic () =
-  let d = Deque.create ~capacity:4 () in
-  Alcotest.(check int) "empty pop" (-1) (Deque.pop d);
-  Alcotest.(check int) "empty steal" (-1) (Deque.steal d);
-  for i = 0 to 9 do
-    Deque.push d i
-  done;
-  Alcotest.(check int) "length" 10 (Deque.length d);
-  Alcotest.(check int) "pop is LIFO" 9 (Deque.pop d);
-  Alcotest.(check int) "steal is FIFO" 0 (Deque.steal d);
-  Alcotest.(check int) "steal next" 1 (Deque.steal d);
-  Alcotest.(check int) "pop next" 8 (Deque.pop d);
-  Alcotest.(check int) "shrunk" 6 (Deque.length d);
-  Alcotest.check_raises "negative rejected"
-    (Invalid_argument "Deque.push: negative value") (fun () ->
-      Deque.push d (-3))
-
-let test_deque_last_element () =
-  let d = Deque.create () in
-  Deque.push d 7;
-  Alcotest.(check int) "single pop" 7 (Deque.pop d);
-  Alcotest.(check int) "then empty" (-1) (Deque.steal d);
-  Deque.push d 8;
-  Alcotest.(check int) "single steal" 8 (Deque.steal d);
-  Alcotest.(check int) "then empty pop" (-1) (Deque.pop d)
-
-(* sequential model check: push appends at the bottom, pop takes from
-   the bottom, steal from the top — a list with front = top *)
-let prop_deque_model =
-  QCheck2.Test.make ~name:"deque agrees with a two-ended list model"
-    ~count:300
-    QCheck2.Gen.(list (int_range 0 2))
-    (fun ops ->
-      let d = Deque.create ~capacity:2 () in
-      let model = ref [] in
-      let counter = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          match op with
-          | 0 ->
-              Deque.push d !counter;
-              model := !model @ [ !counter ];
-              incr counter
-          | 1 -> (
-              let v = Deque.pop d in
-              match List.rev !model with
-              | [] -> if v <> -1 then ok := false
-              | last :: rev_rest ->
-                  if v <> last then ok := false;
-                  model := List.rev rev_rest)
-          | _ -> (
-              let v = Deque.steal d in
-              match !model with
-              | [] -> if v <> -1 then ok := false
-              | first :: rest ->
-                  if v <> first then ok := false;
-                  model := rest))
-        ops;
-      !ok && Deque.length d = List.length !model)
-
-(* steal races under real domains: one owner pushes [n] distinct values
-   (popping a few as it goes), two thieves steal concurrently; every
-   value must be taken exactly once across the three parties *)
-let test_deque_steal_race () =
-  let rounds = 50 and n = 400 in
-  for round = 1 to rounds do
-    let d = Deque.create ~capacity:4 () in
-    let done_ = Atomic.make false in
-    let thief () =
-      let taken = ref [] in
-      let rec loop () =
-        let v = Deque.steal d in
-        if v >= 0 then begin
-          taken := v :: !taken;
-          loop ()
-        end
-        else if not (Atomic.get done_) then begin
-          Domain.cpu_relax ();
-          loop ()
-        end
-      in
-      loop ();
-      !taken
-    in
-    let t1 = Domain.spawn thief and t2 = Domain.spawn thief in
-    let mine = ref [] in
-    for i = 0 to n - 1 do
-      Deque.push d i;
-      if i mod 3 = round mod 3 then begin
-        let v = Deque.pop d in
-        if v >= 0 then mine := v :: !mine
-      end
-    done;
-    let rec drain () =
-      let v = Deque.pop d in
-      if v >= 0 then begin
-        mine := v :: !mine;
-        drain ()
-      end
-    in
-    drain ();
-    Atomic.set done_ true;
-    let s1 = Domain.join t1 and s2 = Domain.join t2 in
-    let all = List.sort compare (!mine @ s1 @ s2) in
-    Alcotest.(check (list int))
-      (Printf.sprintf "round %d: each value taken exactly once" round)
-      (List.init n Fun.id) all
-  done
-
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -576,7 +464,6 @@ let qsuite =
       prop_csr_model;
       prop_csr_transpose;
       prop_vec_model;
-      prop_deque_model;
       prop_arena_reuse_bounds_footprint;
       prop_union_find_equivalence;
       prop_prng_roughly_uniform;
@@ -598,14 +485,6 @@ let () =
           Alcotest.test_case "empty tables" `Quick test_csr_empty;
         ] );
       ( "vec", [ Alcotest.test_case "basic" `Quick test_vec_basic ] );
-      ( "deque",
-        [
-          Alcotest.test_case "basic" `Quick test_deque_basic;
-          Alcotest.test_case "last-element conflict" `Quick
-            test_deque_last_element;
-          Alcotest.test_case "steal races under domains" `Quick
-            test_deque_steal_race;
-        ] );
       ( "arena",
         [
           Alcotest.test_case "slices and growth" `Quick test_arena_slices;

@@ -12,7 +12,6 @@ module Budget = Rl_engine.Budget
 module Error = Rl_engine.Error
 module Fault = Rl_engine.Fault
 module Lru = Rl_engine.Lru
-module Pool = Rl_engine.Pool
 
 (* every test that arms faults must disarm them on every exit path — the
    schedule is global state shared by the whole suite *)
@@ -264,7 +263,7 @@ let doomed = "initial 0\n0 a 1\n"
 
 let inline name text = Request.Inline { name; text }
 
-let run ?pool ?cache job = Request.run ?pool ?cache job
+let run ?cache job = Request.run ?cache job
 
 let reply_repr (r : Request.reply) =
   ( (match r.Request.status with
@@ -994,32 +993,12 @@ let chaos_prop ~name ~count rates =
       in
       clean = chaotic)
 
-(* cache-miss storms and budget contention are transparent by contract:
-   they cost time, never correctness *)
+(* cache-miss storms are transparent by contract: they cost time, never
+   correctness *)
 let prop_chaos_transparent =
-  chaos_prop
-    ~name:"chaos: verdicts under cache storms + budget contention = fault-free"
+  chaos_prop ~name:"chaos: verdicts under cache storms = fault-free"
     ~count:60
-    [ (Fault.Cache_miss_storm, 1.0); (Fault.Budget_contention, 0.3) ]
-
-(* worker death is transparent too: the barrier repairs orphaned slots *)
-let prop_chaos_pool_death =
-  QCheck2.Test.make
-    ~name:"chaos: verdicts with dying pool workers = fault-free" ~count:15
-    QCheck2.Gen.(triple gen_inline_model gen_formula_src gen_kind)
-    (fun (text, formula, kind) ->
-      let job =
-        Request.job ~no_lint:true ~max_states:50_000 kind
-          (inline "<chaos>" text) formula
-      in
-      let clean = reply_repr (Request.run job) in
-      let chaotic =
-        Pool.with_pool ~jobs:3 (fun pool ->
-            with_faults ~seed:11
-              [ (Fault.Pool_domain_death, 0.2) ]
-              (fun () -> reply_repr (Request.run ~pool job)))
-      in
-      clean = chaotic)
+    [ (Fault.Cache_miss_storm, 1.0) ]
 
 (* malformed input is *not* transparent: it must surface as a typed parse
    error with the documented exit code — never a crash, never a bogus
@@ -1042,10 +1021,10 @@ let prop_chaos_malformed_input =
       | Request.Failed (Error.Parse_error _) -> Request.exit_code r = 2
       | _ -> false)
 
-(* concurrent clients over one shared pool and one shared request cache,
-   with worker-domain death armed: exactly the daemon's hot path. Every
-   thread's verdicts must equal the fault-free serial ground truth. *)
-let test_chaos_concurrent_pool_death () =
+(* concurrent clients over one shared request cache: exactly the daemon's
+   hot path. Every thread's verdicts must equal the serial ground
+   truth. *)
+let test_concurrent_shared_cache () =
   let jobs =
     List.init 8 (fun i ->
         let text =
@@ -1058,29 +1037,23 @@ let test_chaos_concurrent_pool_death () =
           "[]<>a")
   in
   let clean = List.map (fun j -> reply_repr (run j)) jobs in
-  Pool.with_pool ~jobs:3 (fun pool ->
-      with_faults ~seed:11
-        [ (Fault.Pool_domain_death, 0.2) ]
-        (fun () ->
-          let cache = Request.cache ~capacity:64 () in
-          let results = Array.make 4 [] in
-          let threads =
-            List.init 4 (fun t ->
-                Thread.create
-                  (fun () ->
-                    results.(t) <-
-                      List.map
-                        (fun j -> reply_repr (Request.run ~pool ~cache j))
-                        jobs)
-                  ())
-          in
-          List.iter Thread.join threads;
-          Array.iteri
-            (fun t rs ->
-              Alcotest.(check bool)
-                (Printf.sprintf "thread %d verdicts = fault-free serial" t)
-                true (rs = clean))
-            results))
+  let cache = Request.cache ~capacity:64 () in
+  let results = Array.make 4 [] in
+  let threads =
+    List.init 4 (fun t ->
+        Thread.create
+          (fun () ->
+            results.(t) <-
+              List.map (fun j -> reply_repr (run ~cache j)) jobs)
+          ())
+  in
+  List.iter Thread.join threads;
+  Array.iteri
+    (fun t rs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "thread %d verdicts = serial" t)
+        true (rs = clean))
+    results
 
 (* random model, random edit: a run through a shared incremental cache
    must produce the verdict a from-scratch run produces — the soundness
@@ -1221,9 +1194,8 @@ let () =
       ( "chaos",
         [
           qcheck prop_chaos_transparent;
-          qcheck prop_chaos_pool_death;
           qcheck prop_chaos_malformed_input;
-          Alcotest.test_case "concurrent clients under pool-domain death"
-            `Quick test_chaos_concurrent_pool_death;
+          Alcotest.test_case "concurrent clients over one shared cache"
+            `Quick test_concurrent_shared_cache;
         ] );
     ]
