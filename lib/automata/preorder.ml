@@ -6,15 +6,22 @@ module Simcache = Rl_engine_kernel.Simcache
    refinement loop and memoized per automaton fingerprint.
 
    [rows.(q)] over-approximates the simulators of [q] and only ever
-   shrinks. A worklist holds the states whose row recently shrank: when
-   [q'] is popped, every predecessor [q] of [q'] on a letter [a] must
-   satisfy the step condition through [q'], i.e. every simulator of [q]
-   must own an [a]-move into the current [rows.(q')]. The set of states
-   with such a move is a union of predecessor bitsets over [rows.(q')],
-   so the constraint is one bitset intersection per predecessor; a
-   predecessor whose row shrinks re-enters the worklist. The loop
-   reaches the greatest fixpoint: a genuine simulator is never removed
-   (its matching move lands inside every over-approximation), and on
+   shrinks. It starts from the states whose membership signature
+   contains that of [q], which depends on the signature alone; the
+   first round of step constraints is therefore shared: for each
+   signature and letter [a], the set pre_a(initial row) is built once,
+   and every row is seeded as its initial row intersected with
+   pre_a(initial row of q') for each move q --a--> q'. Only the states
+   whose seeded row shrank enter the worklist. When [q'] is popped,
+   every a-predecessor [q] of [q'] must satisfy the step condition
+   through [q'], i.e. every simulator of [q] must own an [a]-move into
+   the current [rows.(q')]. That set, pre_a(rows.(q')), is read off the
+   a-predecessor slices of the transposed table, one slice per member
+   of the row, so a pop costs the in-degrees it reads plus one n-bit
+   intersection per predecessor; a predecessor whose row shrinks
+   re-enters the worklist. The loop reaches the greatest fixpoint: a
+   genuine simulator is never removed (its matching move lands inside
+   every over-approximation, the initial rows included), and on
    termination all step constraints hold with the final rows.
 
    The result is the *direct* simulation — acceptance-compatible at every
@@ -68,85 +75,166 @@ let refine ~(delta : Csr.t option) ~(rdelta : Csr.t option) ~states:n
     let rdelta =
       match rdelta with Some r -> r | None -> Csr.transpose delta
     in
-    (* pred_bs.(p'*k + a) = bitset of a-predecessors of p' *)
-    let pred_bs =
-      Array.init (n * k) (fun cell ->
-          let bs = Bitset.create n in
-          Csr.iter_succ rdelta (cell / k) (cell mod k) (fun q -> Bitset.add bs q);
-          bs)
+    let offsets = Csr.offsets rdelta and targets = Csr.targets rdelta in
+    let bpw = Sys.int_size in
+    (* [can_match ~into row a] sets [into] to pre_a(row): the states with
+       an a-move into [row], read off the a-predecessor slices of its
+       members *)
+    let can_match ~into row a =
+      let cw = Bitset.unsafe_words into in
+      Array.fill cw 0 (Array.length cw) 0;
+      let rw = Bitset.unsafe_words row in
+      for w = 0 to Array.length rw - 1 do
+        let word = rw.(w) in
+        if word <> 0 then
+          for b = 0 to bpw - 1 do
+            if word land (1 lsl b) <> 0 then begin
+              let cell = (((w * bpw) + b) * k) + a in
+              for i = offsets.(cell) to offsets.(cell + 1) - 1 do
+                let q = targets.(i) in
+                let j = q / bpw in
+                cw.(j) <- cw.(j) lor (1 lsl (q mod bpw))
+              done
+            end
+          done
+      done
     in
-    let full = Bitset.create n in
-    for q = 0 to n - 1 do
-      Bitset.add full q
-    done;
-    let rows =
-      Array.init n (fun q ->
-          let row = Bitset.copy full in
-          List.iter
-            (fun m -> if Bitset.mem m q then Bitset.inter_into ~into:row m)
-            memberships;
+    (* [restrict row cm] intersects [row] with [cm]; [true] iff it shrank *)
+    let restrict row cm =
+      let rw = Bitset.unsafe_words row and cw = Bitset.unsafe_words cm in
+      let shrank = ref false in
+      for w = 0 to Array.length rw - 1 do
+        let old = rw.(w) in
+        let nw = old land cw.(w) in
+        if nw <> old then begin
+          rw.(w) <- nw;
+          shrank := true
+        end
+      done;
+      !shrank
+    in
+    (* The first round, shared. A state's initial row is the set of
+       states whose membership signature contains its own, so it depends
+       on the signature alone: number the distinct signatures, build
+       each initial row and its a-predecessor set once. *)
+    let members = Array.of_list memberships in
+    let mask q =
+      let s = ref 0 in
+      Array.iteri (fun i m -> if Bitset.mem m q then s := !s lor (1 lsl i)) members;
+      !s
+    in
+    let masks = Array.init n mask in
+    let sig_masks = Array.make n 0 and nsig = ref 0 in
+    let sig_of =
+      Array.map
+        (fun s ->
+          let rec find i =
+            if i = !nsig then begin
+              sig_masks.(i) <- s;
+              incr nsig;
+              i
+            end
+            else if sig_masks.(i) = s then i
+            else find (i + 1)
+          in
+          find 0)
+        masks
+    in
+    let init =
+      Array.init !nsig (fun i ->
+          let s = sig_masks.(i) in
+          let row = Bitset.create n in
+          Array.iteri (fun p m -> if m land s = s then Bitset.add row p) masks;
           row)
     in
-    let on_work = Array.make n true in
-    let work = Queue.create () in
+    let pre_init =
+      Array.init (!nsig * k) (fun cell ->
+          let into = Bitset.create n in
+          can_match ~into init.(cell / k) (cell mod k);
+          into)
+    in
+    (* seed: init(q) ∩ ⋂ { pre_a(init(q')) | a, q' ∈ post_a(q) } *)
+    let rows =
+      Array.init n (fun q ->
+          let row = Bitset.copy init.(sig_of.(q)) in
+          for a = 0 to k - 1 do
+            for i = Csr.row_start delta q a to Csr.row_stop delta q a - 1 do
+              ignore
+                (restrict row pre_init.((sig_of.(Csr.target delta i) * k) + a))
+            done
+          done;
+          row)
+    in
+    (* Every step constraint now holds against the initial rows, so only
+       a state whose row lies strictly inside its initial row can break
+       one of its predecessors' constraints. The worklist is a stack
+       (each state on it at most once): a predecessor whose row just
+       shrank is examined before older entries, so a distinction travels
+       back along a path in one sweep rather than one step per round. *)
+    let on_work = Array.make n false in
+    let work = Array.make n 0 and top = ref 0 in
+    let push q =
+      on_work.(q) <- true;
+      work.(!top) <- q;
+      incr top
+    in
     for q = 0 to n - 1 do
-      Queue.add q work
+      if not (Bitset.equal rows.(q) init.(sig_of.(q))) then push q
     done;
-    while not (Queue.is_empty work) do
-      let q' = Queue.pop work in
+    let cm = Bitset.create n in
+    while !top > 0 do
+      decr top;
+      let q' = work.(!top) in
       on_work.(q') <- false;
       let row' = rows.(q') in
       for a = 0 to k - 1 do
-        if Csr.has_succ rdelta q' a then begin
-          (* can_match = states owning an a-move into the current row of q' *)
-          let can_match = Bitset.create n in
-          Bitset.iter
-            (fun p' -> Bitset.union_into ~into:can_match pred_bs.((p' * k) + a))
-            row';
-          Csr.iter_succ rdelta q' a (fun q ->
-              if not (Bitset.subset rows.(q) can_match) then begin
-                Bitset.inter_into ~into:rows.(q) can_match;
-                if not on_work.(q) then begin
-                  on_work.(q) <- true;
-                  Queue.add q work
-                end
-              end)
+        let lo = Csr.row_start rdelta q' a and hi = Csr.row_stop rdelta q' a in
+        if lo < hi then begin
+          can_match ~into:cm row' a;
+          for i = lo to hi - 1 do
+            let q = targets.(i) in
+            if restrict rows.(q) cm && not on_work.(q) then push q
+          done
         end
       done
     done;
     rows
   end
 
-let fingerprint ~tag ~states ~symbols ~memberships ~succ =
+(* The key determines the relation and nothing else: state and symbol
+   counts, every membership set in order, and every successor list, each
+   written as a count followed by its elements (32-bit little-endian
+   ints, so the encoding is self-delimiting). The relation kind needs no
+   tag of its own — a backward view is a forward view of the reversed
+   structure, and two views with the same key have the same greatest
+   simulation. Successor lists are taken sorted, since their order does
+   not change the relation: a Büchi automaton and its pre-language NFA
+   list a cell's successors in opposite orders. *)
+let fingerprint ~states ~symbols ~memberships ~succ =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf tag;
-  Buffer.add_char buf '|';
-  Buffer.add_string buf (string_of_int states);
-  Buffer.add_char buf ':';
-  Buffer.add_string buf (string_of_int symbols);
+  let int i = Buffer.add_int32_le buf (Int32.of_int i) in
+  int states;
+  int symbols;
+  int (List.length memberships);
   List.iter
     (fun m ->
-      Buffer.add_char buf '|';
-      Bitset.iter
-        (fun q ->
-          Buffer.add_string buf (string_of_int q);
-          Buffer.add_char buf ',')
-        m)
+      int (Bitset.cardinal m);
+      Bitset.iter int m)
     memberships;
-  Buffer.add_char buf '|';
   for q = 0 to states - 1 do
     for a = 0 to symbols - 1 do
-      List.iter
-        (fun q' ->
-          Buffer.add_string buf (string_of_int q');
-          Buffer.add_char buf ',')
-        (succ q a);
-      Buffer.add_char buf ';'
+      let l =
+        match succ q a with
+        | ([] | [ _ ]) as l -> l
+        | l -> List.sort Int.compare l
+      in
+      int (List.length l);
+      List.iter int l
     done
   done;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let of_view ?(cache = true) ?delta ?rdelta ~tag ~states ~symbols ~memberships
+let of_view ?(cache = true) ?delta ?rdelta ~states ~symbols ~memberships
     ~succ () =
   let compute () = refine ~delta ~rdelta ~states ~symbols ~memberships ~succ in
   let rows =
@@ -154,7 +242,7 @@ let of_view ?(cache = true) ?delta ?rdelta ~tag ~states ~symbols ~memberships
       (* the fingerprint is always taken over the list view: a caller
          passing [delta] must not change the cache key *)
       Simcache.find_or_compute
-        (fingerprint ~tag ~states ~symbols ~memberships ~succ)
+        (fingerprint ~states ~symbols ~memberships ~succ)
         compute
     else compute ()
   in
@@ -166,7 +254,7 @@ let require_eps_free who n =
 
 let forward ?cache n =
   require_eps_free "Preorder.forward" n;
-  of_view ?cache ~delta:(Nfa.csr n) ~rdelta:(Nfa.rcsr n) ~tag:"nfa-fwd"
+  of_view ?cache ~delta:(Nfa.csr n) ~rdelta:(Nfa.rcsr n)
     ~states:(Nfa.states n)
     ~symbols:(Alphabet.size (Nfa.alphabet n))
     ~memberships:[ Nfa.finals n ]
@@ -192,7 +280,7 @@ let backward ?cache n =
   let k = Alphabet.size (Nfa.alphabet n) in
   (* backward simulation = forward simulation on the reversed automaton,
      respecting both initiality and finality *)
-  of_view ?cache ~tag:"nfa-bwd" ~states ~symbols:k
+  of_view ?cache ~states ~symbols:k
     ~memberships:[ Bitset.of_list (max states 1) (Nfa.initial n); Nfa.finals n ]
     ~succ:(pred_fn n)
     ()
@@ -207,11 +295,11 @@ let mutual_classes t =
   for q = 0 to n - 1 do
     if cls.(q) = -1 then begin
       cls.(q) <- !count;
-      let simq = t.rows.(q) in
-      for p = q + 1 to n - 1 do
-        if cls.(p) = -1 && Bitset.mem simq p && Bitset.mem t.rows.(p) q then
-          cls.(p) <- !count
-      done;
+      Bitset.iter
+        (fun p ->
+          if p > q && cls.(p) = -1 && Bitset.mem t.rows.(p) q then
+            cls.(p) <- !count)
+        t.rows.(q);
       incr count
     end
   done;

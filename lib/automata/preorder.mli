@@ -2,8 +2,11 @@
 
     Computes the greatest {e direct} simulation relation of an automaton
     with a Henzinger–Henzinger–Kopke-style refinement loop over bitset
-    rows, plus the backward variant (simulation on the reversed
-    automaton, respecting initiality). Direct simulation is
+    rows — seeded by one shared first round per membership signature,
+    then refined by steps read off the predecessor slices, so the work
+    follows the edges read rather than [n]-bit rows — plus the backward
+    variant (simulation on the reversed automaton, respecting
+    initiality). Direct simulation is
     acceptance-compatible at every step, so [p] simulating [q] implies
     the state-wise language containment [L(q) ⊆ L(p)] — the fact the
     antichain engine's simulation subsumption and the
@@ -46,21 +49,23 @@ val forward : ?cache:bool -> Nfa.t -> t
     @raise Invalid_argument if [n] has ε-moves. *)
 val backward : ?cache:bool -> Nfa.t -> t
 
-(** [of_view ~tag ~states ~symbols ~memberships ~succ ()] computes the
+(** [of_view ~states ~symbols ~memberships ~succ ()] computes the
     greatest simulation of an arbitrary transition structure — this is
     how the Büchi layer reuses the engine without the kernel or this
     module depending on it. [memberships] lists the state sets the
     relation must respect downward ([q ∈ M] forces simulators of [q]
-    into [M]); [succ q a] must be deterministic. [tag] namespaces the
-    cache key and must be distinct per relation kind. [delta], when
-    given, must be the CSR view of [succ], and [rdelta] its transpose
-    (automaton callers pass the cached [Nfa.rcsr]/[Buchi.rcsr]): both
-    only skip rebuilding tables, the cache key is unchanged. *)
+    into [M]); [succ q a] must be deterministic. The cache key is the
+    structure alone (state and symbol counts, memberships, sorted
+    successor lists), so views of different automata that coincide —
+    a Büchi automaton and its all-final pre-language NFA — share one
+    computation. [delta], when given, must be the CSR view of [succ],
+    and [rdelta] its transpose (automaton callers pass the cached
+    [Nfa.rcsr]/[Buchi.rcsr]): both only skip rebuilding tables, the
+    cache key is unchanged. *)
 val of_view :
   ?cache:bool ->
   ?delta:Rl_prelude.Csr.t ->
   ?rdelta:Rl_prelude.Csr.t ->
-  tag:string ->
   states:int ->
   symbols:int ->
   memberships:Rl_prelude.Bitset.t list ->

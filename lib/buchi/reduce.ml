@@ -14,8 +14,7 @@ let preorder b =
   for q = 0 to n - 1 do
     if Buchi.is_accepting b q then Bitset.add accepting q
   done;
-  Preorder.of_view ~delta:(Buchi.csr b) ~rdelta:(Buchi.rcsr b)
-    ~tag:"buchi-fwd" ~states:n
+  Preorder.of_view ~delta:(Buchi.csr b) ~rdelta:(Buchi.rcsr b) ~states:n
     ~symbols:(Alphabet.size (Buchi.alphabet b))
     ~memberships:[ accepting ]
     ~succ:(fun q a -> Buchi.successors b q a)

@@ -59,6 +59,23 @@ let exhaust b states resource =
     | Some first -> raise (Exhausted first)
     | None -> raise (Exhausted e)
 
+(* The state counter went from [total - n] to [total] past the limit [m].
+   Only the call that crossed it ([total - n <= m]) publishes, so the
+   record reads the same total whatever the domains' interleaving; a
+   caller already past the limit waits for that record, which the
+   crossing call publishes right after its own [fetch_and_add]. *)
+let over_limit b ~n ~total m =
+  if total - n <= m then exhaust b total `States
+  else
+    let rec await () =
+      match Atomic.get b.tripped with
+      | Some e -> raise (Exhausted e)
+      | None ->
+          Domain.cpu_relax ();
+          await ()
+    in
+    await ()
+
 let cancelled b = Atomic.get b.tripped <> None
 
 (* External cancellation: the service watchdog publishes an exhaustion
@@ -100,7 +117,7 @@ let charge b n =
     check_cancelled b;
     let total = Atomic.fetch_and_add b.states n + n in
     (match b.max_states with
-    | Some m when total > m -> exhaust b total `States
+    | Some m when total > m -> over_limit b ~n ~total m
     | _ -> ());
     match b.deadline with
     | Some d when Unix.gettimeofday () > d -> exhaust b total `Time
@@ -111,7 +128,7 @@ let tick b =
   check_cancelled b;
   let total = Atomic.fetch_and_add b.states 1 + 1 in
   (match b.max_states with
-  | Some m when total > m -> exhaust b total `States
+  | Some m when total > m -> over_limit b ~n:1 ~total m
   | _ -> ());
   check_clock b
 
@@ -136,9 +153,6 @@ let with_phase b name f =
 
 let states_explored b = Atomic.get b.states
 let current_phase b = b.phase
-
-let remaining_states b =
-  Option.map (fun m -> max 0 (m - Atomic.get b.states)) b.max_states
 
 let pp_exhaustion ppf e =
   let what =

@@ -16,10 +16,12 @@
 
     Budgets are domain-safe: the state counter is an [Atomic], so several
     domains of a {!Rl_engine_kernel.Pool} may tick one budget concurrently
-    and [--max-states] still bounds the {e total} cross-domain work. The
-    first domain to exceed a limit publishes a single {!exhaustion} record;
-    every later tick on any domain re-raises that same record, which
-    cancels parallel workers promptly and keeps the report deterministic.
+    and [--max-states] still bounds the {e total} cross-domain work. Only
+    the call that carries the counter across the state limit publishes
+    the {!exhaustion} record, so it reports the same total ([limit + 1]
+    for ticks) whatever the interleaving; every other tick past the limit,
+    on any domain, re-raises that same record, which cancels parallel
+    workers promptly and keeps the report deterministic.
     Phase labels ({!set_phase}/{!with_phase}) are not synchronized — they
     must be changed from the coordinating domain only. *)
 
@@ -87,9 +89,5 @@ val with_phase : t -> string -> (unit -> 'a) -> 'a
 
 val states_explored : t -> int
 val current_phase : t -> string
-
-(** [remaining_states b] is how many more states may be explored
-    ([None] when unlimited). *)
-val remaining_states : t -> int option
 
 val pp_exhaustion : Format.formatter -> exhaustion -> unit

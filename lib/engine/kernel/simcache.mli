@@ -20,8 +20,8 @@
 
 type key = string
 (** A structural fingerprint, e.g. [Digest.string] of a canonical
-    serialization. Keys must determine the automaton structure up to the
-    relation being cached (include a tag for the relation's direction). *)
+    serialization. A key must determine the cached relation: two
+    computations under one key must give equal rows. *)
 
 type entry = Rl_prelude.Bitset.t array
 

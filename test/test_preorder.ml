@@ -117,6 +117,31 @@ let test_simcache_hits () =
   Alcotest.(check bool) "same relation" true
     (Preorder.simulates s1 1 1 = Preorder.simulates s2 1 1)
 
+(* Lemma 4.3's left side quotients the system's Büchi automaton and then
+   reduces its pre-language NFA. When the quotient merges nothing, the
+   all-final NFA is the same structure as the all-accepting automaton —
+   cell (0, a) even lists its two successors in the opposite order — so
+   the second refinement is a cache hit. *)
+let test_pre_language_reuses_quotient () =
+  Simcache.clear ();
+  let ts =
+    Nfa.create ~alphabet:ab ~states:3 ~initial:[ 0 ] ~finals:[ 0; 1; 2 ]
+      ~transitions:
+        [ (0, a_sym, 1); (0, a_sym, 2); (1, b_sym, 0); (2, a_sym, 0) ]
+      ()
+  in
+  let q = Reduce.quotient (Buchi.trim (Buchi.of_transition_system ts)) in
+  Alcotest.(check int) "the quotient merges nothing" 3 (Buchi.states q);
+  let r = Preorder.reduce (Buchi.pre_language q) in
+  Alcotest.(check int) "the pre-language reduce merges nothing" 3
+    (Nfa.states r);
+  let hits, misses, _ = Simcache.stats () in
+  let storming = Rl_engine_kernel.Fault.fired Rl_engine_kernel.Fault.Cache_miss_storm > 0 in
+  if not storming then begin
+    Alcotest.(check int) "one refinement" 1 misses;
+    Alcotest.(check int) "the pre-language view hits" 1 hits
+  end
+
 (* --- generators --- *)
 
 let mk_rng = Helpers.mk_rng
@@ -224,6 +249,68 @@ let prop_reduce_preserves_language =
       let r = Preorder.reduce n in
       Nfa.states r <= Nfa.states (Nfa.remove_eps n)
       && Nfa.accepts r w = Nfa.accepts n w)
+
+(* Random views for the oracle comparison: mostly 1–12 states, some up
+   to 64 (more than one bitset word), 1–3 letters, 0–2 memberships, and
+   an expected out-degree per letter from sparse (0.5) to dense (4). *)
+let gen_view =
+  QCheck2.Gen.(
+    let* seed = 0 -- 1_000_000 in
+    let* states = frequency [ (4, 1 -- 12); (1, 13 -- 64) ] in
+    let* symbols = 1 -- 3 in
+    let* nmem = 0 -- 2 in
+    let* degree = oneofl [ 0.5; 1.; 2.; 4. ] in
+    let rng = mk_rng seed in
+    let density = degree /. Stdlib.float_of_int states in
+    let succ =
+      Array.init states (fun _ ->
+          Array.init symbols (fun _ ->
+              List.filter
+                (fun _ -> Rl_prelude.Prng.float rng < density)
+                (List.init states Fun.id)))
+    in
+    let memberships =
+      List.init nmem (fun _ ->
+          Bitset.of_list states
+            (List.filter
+               (fun _ -> Rl_prelude.Prng.float rng < 0.5)
+               (List.init states Fun.id)))
+    in
+    return (states, symbols, memberships, succ))
+
+let print_view (states, symbols, memberships, succ) =
+  Printf.sprintf "%d states, %d symbols, memberships [%s], succ [%s]" states
+    symbols
+    (String.concat "; " (List.map (Format.asprintf "%a" Bitset.pp) memberships))
+    (String.concat "; "
+       (Array.to_list
+          (Array.mapi
+             (fun q row ->
+               String.concat " "
+                 (Array.to_list
+                    (Array.mapi
+                       (fun a l ->
+                         Printf.sprintf "%d-%d->{%s}" q a
+                           (String.concat "," (List.map string_of_int l)))
+                       row)))
+             succ)))
+
+let prop_of_view_matches_oracle =
+  QCheck2.Test.make ~name:"of_view = the HHK oracle, row for row" ~count:1500
+    ~print:print_view gen_view (fun (states, symbols, memberships, succ) ->
+      let succ q a = succ.(q).(a) in
+      let po =
+        Preorder.of_view ~cache:false ~states ~symbols ~memberships ~succ ()
+      in
+      let oracle =
+        Preorder_oracle.refine ~delta:None ~rdelta:None ~states ~symbols
+          ~memberships ~succ
+      in
+      Preorder.size po = Array.length oracle
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun q row -> Bitset.equal (Preorder.simulators po q) row)
+              oracle))
 
 (* --- (b) subsumption modes agree with each other and the oracle --- *)
 
@@ -350,10 +437,13 @@ let () =
             test_backward_facts;
           Alcotest.test_case "fingerprint cache hits" `Quick
             test_simcache_hits;
+          Alcotest.test_case "pre-language view reuses the quotient's" `Quick
+            test_pre_language_reuses_quotient;
         ] );
       ( "properties",
         [
           qcheck prop_forward_is_simulation;
+          qcheck prop_of_view_matches_oracle;
           qcheck prop_backward_respects_reachability;
           qcheck prop_reduce_preserves_language;
           qcheck prop_subsumption_modes_agree;
