@@ -115,8 +115,10 @@ let refine ~(delta : Csr.t option) ~(rdelta : Csr.t option) ~states:n
     in
     (* The first round, shared. A state's initial row is the set of
        states whose membership signature contains its own, so it depends
-       on the signature alone: number the distinct signatures, build
-       each initial row and its a-predecessor set once. *)
+       on the signature alone. The signature is a bit mask over the
+       membership sets and indexes its initial row and a-predecessor set
+       directly: callers pass at most two sets, so at most four rows are
+       built, whether or not some state carries each mask. *)
     let members = Array.of_list memberships in
     let mask q =
       let s = ref 0 in
@@ -124,31 +126,15 @@ let refine ~(delta : Csr.t option) ~(rdelta : Csr.t option) ~states:n
       !s
     in
     let masks = Array.init n mask in
-    let sig_masks = Array.make n 0 and nsig = ref 0 in
-    let sig_of =
-      Array.map
-        (fun s ->
-          let rec find i =
-            if i = !nsig then begin
-              sig_masks.(i) <- s;
-              incr nsig;
-              i
-            end
-            else if sig_masks.(i) = s then i
-            else find (i + 1)
-          in
-          find 0)
-        masks
-    in
+    let nsig = 1 lsl Array.length members in
     let init =
-      Array.init !nsig (fun i ->
-          let s = sig_masks.(i) in
+      Array.init nsig (fun s ->
           let row = Bitset.create n in
           Array.iteri (fun p m -> if m land s = s then Bitset.add row p) masks;
           row)
     in
     let pre_init =
-      Array.init (!nsig * k) (fun cell ->
+      Array.init (nsig * k) (fun cell ->
           let into = Bitset.create n in
           can_match ~into init.(cell / k) (cell mod k);
           into)
@@ -156,11 +142,11 @@ let refine ~(delta : Csr.t option) ~(rdelta : Csr.t option) ~states:n
     (* seed: init(q) ∩ ⋂ { pre_a(init(q')) | a, q' ∈ post_a(q) } *)
     let rows =
       Array.init n (fun q ->
-          let row = Bitset.copy init.(sig_of.(q)) in
+          let row = Bitset.copy init.(masks.(q)) in
           for a = 0 to k - 1 do
             for i = Csr.row_start delta q a to Csr.row_stop delta q a - 1 do
               ignore
-                (restrict row pre_init.((sig_of.(Csr.target delta i) * k) + a))
+                (restrict row pre_init.((masks.(Csr.target delta i) * k) + a))
             done
           done;
           row)
@@ -179,7 +165,7 @@ let refine ~(delta : Csr.t option) ~(rdelta : Csr.t option) ~states:n
       incr top
     in
     for q = 0 to n - 1 do
-      if not (Bitset.equal rows.(q) init.(sig_of.(q))) then push q
+      if not (Bitset.equal rows.(q) init.(masks.(q))) then push q
     done;
     let cm = Bitset.create n in
     while !top > 0 do

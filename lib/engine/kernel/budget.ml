@@ -60,12 +60,14 @@ let exhaust b states resource =
     | None -> raise (Exhausted e)
 
 (* The state counter went from [total - n] to [total] past the limit [m].
-   Only the call that crossed it ([total - n <= m]) publishes, so the
-   record reads the same total whatever the domains' interleaving; a
-   caller already past the limit waits for that record, which the
-   crossing call publishes right after its own [fetch_and_add]. *)
+   Only the call that crossed it publishes, so for unit ticks the record
+   always reads [m + 1]; with [charge] it reads the total of whichever
+   call crossed. A caller already past the limit waits for that record,
+   which the crossing call publishes right after its own
+   [fetch_and_add]. The counter starts at 0, so a negative limit is
+   crossed by the first call: [max m 0] makes that call the publisher. *)
 let over_limit b ~n ~total m =
-  if total - n <= m then exhaust b total `States
+  if total - n <= max m 0 then exhaust b total `States
   else
     let rec await () =
       match Atomic.get b.tripped with

@@ -18,10 +18,12 @@
     domains of a {!Rl_engine_kernel.Pool} may tick one budget concurrently
     and [--max-states] still bounds the {e total} cross-domain work. Only
     the call that carries the counter across the state limit publishes
-    the {!exhaustion} record, so it reports the same total ([limit + 1]
-    for ticks) whatever the interleaving; every other tick past the limit,
-    on any domain, re-raises that same record, which cancels parallel
-    workers promptly and keeps the report deterministic.
+    the {!exhaustion} record. When the crossing call is a {!tick} the
+    record reads [limit + 1] whatever the interleaving; when it is a
+    {!charge} it reads that call's total, which may depend on which
+    domain crossed first. Every other call past the limit, on any domain,
+    re-raises that same record, which cancels parallel workers promptly.
+    A negative limit is crossed by the first call.
     Phase labels ({!set_phase}/{!with_phase}) are not synchronized — they
     must be changed from the coordinating domain only. *)
 

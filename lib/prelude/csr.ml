@@ -73,12 +73,6 @@ let of_fn ~states ~symbols succ =
   done;
   { states; symbols; offsets; targets }
 
-let degree t q a =
-  let cell = (q * t.symbols) + a in
-  t.offsets.(cell + 1) - t.offsets.(cell)
-
-let has_succ t q a = degree t q a > 0
-
 (* Raw slice access, for closure-free inner loops: a caller iterates
    [row_start .. row_stop - 1] and reads targets with [target]. The
    returned arrays of [offsets]/[targets] are the table's own storage

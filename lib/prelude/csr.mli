@@ -24,13 +24,6 @@ val of_lists : states:int -> symbols:int -> int list array array -> t
 val states : t -> int
 val symbols : t -> int
 
-(** [degree t q a] is the number of [a]-successors of [q]. *)
-val degree : t -> int -> int -> int
-
-(** [has_succ t q a] is [degree t q a > 0], without the subtraction being
-    visible at call sites. *)
-val has_succ : t -> int -> int -> bool
-
 (** Raw slice access, for closure-free inner loops: iterate
     [row_start t q a .. row_stop t q a - 1] and read each successor with
     [target]. Equivalent to [iter_succ] without the closure. *)

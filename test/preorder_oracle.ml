@@ -60,7 +60,7 @@ let refine ~(delta : Csr.t option) ~(rdelta : Csr.t option) ~states:n
       on_work.(q') <- false;
       let row' = rows.(q') in
       for a = 0 to k - 1 do
-        if Csr.has_succ rdelta q' a then begin
+        if Csr.row_start rdelta q' a < Csr.row_stop rdelta q' a then begin
           (* can_match = states owning an a-move into the current row of q' *)
           let can_match = Bitset.create n in
           Bitset.iter

@@ -38,6 +38,25 @@ let test_budget_charge () =
   | exception Budget.Exhausted e ->
       Alcotest.(check int) "overshoot recorded" 110 e.Budget.states_explored
 
+(* The counter starts at 0, so a negative limit is crossed by the first
+   call, which must publish (and raise) rather than wait for a crossing
+   that never comes. *)
+let test_budget_negative_limit () =
+  let b = Budget.create ~max_states:(-1) () in
+  (match Budget.tick b with
+  | () -> Alcotest.fail "first tick past a negative limit should exhaust"
+  | exception Budget.Exhausted e ->
+      Alcotest.(check int) "first tick recorded" 1 e.Budget.states_explored);
+  (match Budget.tick b with
+  | () -> Alcotest.fail "later ticks re-raise"
+  | exception Budget.Exhausted e ->
+      Alcotest.(check int) "same record" 1 e.Budget.states_explored);
+  let b = Budget.create ~max_states:(-5) () in
+  match Budget.charge b 3 with
+  | () -> Alcotest.fail "first charge past a negative limit should exhaust"
+  | exception Budget.Exhausted e ->
+      Alcotest.(check int) "first charge recorded" 3 e.Budget.states_explored
+
 let test_budget_phase () =
   let b = Budget.create ~max_states:5 () in
   Budget.set_phase b "outer";
@@ -354,6 +373,7 @@ let () =
         [
           Alcotest.test_case "state limit" `Quick test_budget_states;
           Alcotest.test_case "bulk charge" `Quick test_budget_charge;
+          Alcotest.test_case "negative limit" `Quick test_budget_negative_limit;
           Alcotest.test_case "phase labels" `Quick test_budget_phase;
           Alcotest.test_case "trips determinization" `Quick
             test_budget_trips_determinization;

@@ -133,11 +133,10 @@ let test_csr_small () =
   let t = Csr.of_lists ~states:3 ~symbols:2 rows in
   Alcotest.(check int) "states" 3 (Csr.states t);
   Alcotest.(check int) "symbols" 2 (Csr.symbols t);
-  Alcotest.(check int) "degree 0 a" 2 (Csr.degree t 0 0);
-  Alcotest.(check int) "duplicate kept" 2 (Csr.degree t 1 0);
-  Alcotest.(check int) "empty row" 0 (Csr.degree t 0 1);
-  Alcotest.(check bool) "has_succ" true (Csr.has_succ t 2 1);
-  Alcotest.(check bool) "has_succ empty" false (Csr.has_succ t 2 0);
+  let len q a = Csr.row_stop t q a - Csr.row_start t q a in
+  Alcotest.(check int) "slice 0 a" 2 (len 0 0);
+  Alcotest.(check int) "duplicate kept" 2 (len 1 0);
+  Alcotest.(check int) "empty slice" 0 (len 0 1);
   Alcotest.(check bool) "mem_succ" true (Csr.mem_succ t 0 0 2);
   Alcotest.(check bool) "not mem_succ" false (Csr.mem_succ t 0 0 0);
   (* raw slice access agrees with iter_succ, in order *)
@@ -200,8 +199,8 @@ let prop_csr_model =
         for a = k - 1 downto 0 do
           let want = rows.(q).(a) in
           concat := want @ !concat;
-          if Csr.degree t q a <> List.length want then ok := false;
-          if Csr.has_succ t q a <> (want <> []) then ok := false;
+          if Csr.row_stop t q a - Csr.row_start t q a <> List.length want then
+            ok := false;
           if List.rev (Csr.fold_succ t q a (fun x acc -> x :: acc) []) <> want
           then ok := false;
           for q' = 0 to n - 1 do
