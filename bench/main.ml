@@ -269,7 +269,7 @@ let claim_necessity () =
     if
       Nfa.states abstract_ts > 0
       && (not (Rl_hom.Hom.has_maximal_words abstract_ts))
-      && not (Rl_hom.Hom.is_simple hom ts)
+      && not (Rl_hom.Hom.analyze hom ts).Rl_hom.Hom.simple
     then begin
       incr non_simple;
       let abstract_sys = Buchi.of_transition_system abstract_ts in
@@ -462,7 +462,7 @@ let bench_tests () =
         in
         Test.make
           ~name:(Printf.sprintf "simplicity/states=%03d" n)
-          (Staged.stage (fun () -> ignore (Rl_hom.Hom.is_simple hom ts))))
+          (Staged.stage (fun () -> ignore (Rl_hom.Hom.analyze hom ts))))
       [ 4; 8; 16; 32 ]
   in
   (* C7: abstraction speedup: verify on the abstract system vs the direct

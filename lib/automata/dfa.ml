@@ -414,13 +414,13 @@ let quotient t block_of =
     delta;
   }
 
+let residual_classes t =
+  refine ~states:t.states ~k:(Alphabet.size t.alphabet) ~delta:t.delta
+    ~finals:t.finals
+
 let minimize t =
   let t = restrict_reachable t in
-  let block_of =
-    refine ~states:t.states ~k:(Alphabet.size t.alphabet) ~delta:t.delta
-      ~finals:t.finals
-  in
-  quotient t block_of
+  quotient t (residual_classes t)
 
 let minimize_moore t =
   let t = restrict_reachable t in
@@ -452,38 +452,11 @@ let states_equivalent a qa b qb =
   let a' = { a with initial = qa } and b' = { b with initial = qb } in
   match equivalent a' b' with Ok () -> true | Error _ -> false
 
-let equivalence_classes a b =
-  if not (Alphabet.equal a.alphabet b.alphabet) then
-    invalid_arg "Dfa.equivalence_classes: alphabet mismatch";
-  let k = Alphabet.size a.alphabet in
-  let n = a.states + b.states in
-  let shift q = q + a.states in
-  let delta = Array.init n (fun _ -> Array.make k 0) in
-  let finals = Bitset.create n in
-  for q = 0 to a.states - 1 do
-    if Bitset.mem a.finals q then Bitset.add finals q;
-    for s = 0 to k - 1 do
-      delta.(q).(s) <- a.delta.(q).(s)
-    done
-  done;
-  for q = 0 to b.states - 1 do
-    if Bitset.mem b.finals q then Bitset.add finals (shift q);
-    for s = 0 to k - 1 do
-      delta.(shift q).(s) <- shift b.delta.(q).(s)
-    done
-  done;
-  let block_of = refine ~states:n ~k ~delta ~finals in
-  (Array.sub block_of 0 a.states, Array.sub block_of a.states b.states)
-
 let to_nfa t =
   let k = Alphabet.size t.alphabet in
   let delta = Array.init t.states (fun q -> Array.init k (fun a -> [ t.delta.(q).(a) ])) in
   Nfa.of_dfa_parts ~alphabet:t.alphabet ~states:t.states ~initial:[ t.initial ]
     ~finals:(Bitset.copy t.finals) ~delta
-
-let residual_from t q =
-  if q < 0 || q >= t.states then invalid_arg "Dfa.residual_from: bad state";
-  { t with initial = q }
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>DFA over %a: %d states, initial %d, finals %a@,"

@@ -79,11 +79,11 @@ val included : ?budget:Rl_engine_kernel.Budget.t -> t -> t -> (unit, Word.t) res
     state [qa] in [a] and state [qb] in [b] are equal. *)
 val states_equivalent : t -> int -> t -> int -> bool
 
-(** [equivalence_classes a b] assigns a class identifier to every state of
-    [a] and of [b] such that two states (possibly across automata) get the
-    same class iff their residual languages are equal. Returned as
-    [(classes_a, classes_b)]. Computed by minimizing the disjoint union. *)
-val equivalence_classes : t -> t -> int array * int array
+(** [residual_classes d] assigns a class identifier to every state of [d],
+    reachable or not, such that two states get the same class iff their
+    residual languages are equal (Hopcroft's partition refinement). To
+    compare states across automata, classify their disjoint union. *)
+val residual_classes : t -> int array
 
 (** {1 Minimization} *)
 
@@ -98,9 +98,6 @@ val minimize_moore : t -> t
 (** {1 Conversions} *)
 
 val to_nfa : t -> Nfa.t
-
-(** [residual_from d q] is [d] with its initial state moved to [q]. *)
-val residual_from : t -> int -> t
 
 val pp : Format.formatter -> t -> unit
 val to_dot : ?name:string -> t -> string

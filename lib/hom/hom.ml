@@ -151,144 +151,123 @@ let hash_extend ?(hash = "#") n =
 
 type verdict = { simple : bool; configurations : int; witness : Word.t option }
 
-module Config_key = struct
-  type t = Bitset.t * int
-
-  let equal (s1, t1) (s2, t2) = t1 = t2 && Bitset.equal s1 s2
-  let hash (s, t) = (Bitset.hash s * 31) + t
-end
-
-module Config_tbl = Hashtbl.Make (Config_key)
+module Set_tbl = Hashtbl.Make (Bitset)
 
 let check_ts l =
   if Nfa.has_eps l then invalid_arg "Hom: transition system has ε-moves";
   if not (Nfa.all_states_final l) then
     invalid_arg "Hom: transition system must have all states final"
 
-(* Decide Definition 6.3 at one configuration: S = possible states of the
-   transition system after w, big = DFA of h(L), t0 = its state after h(w).
-   Simplicity at (S, t0) asks for a reachable product state (t, y) with
-   t accepting in big (so that u ∈ cont(h w, h L)) whose residual languages
-   agree. Residual equality is precomputed by minimizing the disjoint
-   union of the two DFAs ([Dfa.equivalence_classes]). *)
-let config_ok ~big ~classes_big ~y_dfa ~classes_y t0 =
-  let seen = Hashtbl.create 16 in
-  let queue = Queue.create () in
-  let k = Alphabet.size (Dfa.alphabet big) in
-  let start = (t0, Dfa.initial y_dfa) in
-  Hashtbl.add seen start ();
-  Queue.add start queue;
-  let found = ref false in
-  while (not !found) && not (Queue.is_empty queue) do
-    let t, y = Queue.pop queue in
-    if Dfa.is_final big t && classes_big.(t) = classes_y.(y) then found := true
-    else
-      for a = 0 to k - 1 do
-        let pair' = (Dfa.step big t a, Dfa.step y_dfa y a) in
-        if not (Hashtbl.mem seen pair') then begin
-          Hashtbl.add seen pair' ();
-          Queue.add pair' queue
-        end
-      done
-  done;
-  !found
+let post n set a =
+  let out = Bitset.create (Nfa.states n) in
+  Bitset.iter (fun q -> List.iter (Bitset.add out) (Nfa.successors n q a)) set;
+  out
 
+(* Definition 6.3 asks, at each configuration (S, t) — S the states of
+   the transition system after w, t the state of h(L)'s DFA after h(w) —
+   for a u with cont(u, cont(h w, h L)) = cont(u, h(cont_S)). [image h l]
+   keeps the numbering and the initial set of [l], and h(cont_S) is the
+   language of the image NFA started in S, so the DFA of h(L) and every
+   DFA of h(cont_S) are rows of one subset construction over the image:
+   the sets the concrete subset construction of [l] reaches (the S of
+   every configuration, the initial set among them) closed under the
+   abstract letters. One minimization gives every residual's class. *)
 let analyze ?(budget = Rl_engine_kernel.Budget.unlimited) h l =
   check_ts l;
   let l = Nfa.trim l in
   if Nfa.states l = 0 then { simple = true; configurations = 0; witness = None }
   else begin
-    let big = Dfa.determinize ~budget (image h l) in
-    let nl = Nfa.states l in
-    (* memoized per-S data: DFA of h(cont_S) and equivalence classes
-       against [big] *)
-    let y_cache : (Bitset.t, Dfa.t * int array * int array) Hashtbl.t =
-      Hashtbl.create 16
-    in
-    let y_data s =
-      match Hashtbl.find_opt y_cache s with
-      | Some d -> d
-      | None ->
-          let from_s =
-            Nfa.create ~alphabet:(Nfa.alphabet l) ~states:nl
-              ~initial:(Bitset.elements s)
-              ~finals:(List.init nl Fun.id)
-              ~transitions:(Nfa.transitions l) ()
-          in
-          let y_dfa = Dfa.determinize ~budget (image h from_s) in
-          let classes_big, classes_y = Dfa.equivalence_classes big y_dfa in
-          let data = (y_dfa, classes_big, classes_y) in
-          Hashtbl.add y_cache (Bitset.copy s) data;
-          data
-    in
-    (* BFS over configurations (S, T), tracking access words for
-       counterexamples. *)
-    let seen = Config_tbl.create 64 in
-    let queue = Queue.create () in
-    let s0 = Bitset.of_list nl (Nfa.initial l) in
-    let start = (s0, Dfa.initial big) in
-    Config_tbl.add seen start ();
-    Queue.add (start, []) queue;
+    let img = image h l in
     let k = Alphabet.size (Nfa.alphabet l) in
-    let count = ref 0 in
-    let failure = ref None in
+    let k' = Alphabet.size h.abstract in
+    let rows = Set_tbl.create 64 in
+    let sets = Hashtbl.create 64 in
+    let intern set =
+      match Set_tbl.find_opt rows set with
+      | Some r -> r
+      | None ->
+          Rl_engine_kernel.Budget.tick budget;
+          let r = Hashtbl.length sets in
+          Hashtbl.add sets r set;
+          Set_tbl.add rows set r;
+          r
+    in
+    (* [f] over every row in order, rows it interns included *)
+    let each_row f =
+      let out = ref [] and r = ref 0 in
+      while !r < Hashtbl.length sets do
+        out := f (Hashtbl.find sets !r) :: !out;
+        incr r
+      done;
+      Array.of_list (List.rev !out)
+    in
+    let s0 = intern (Bitset.of_list (Nfa.states l) (Nfa.initial l)) in
+    (* the concrete subset construction; -1 is the empty set *)
+    let concrete_next =
+      each_row (fun set ->
+          Array.init k (fun a ->
+              let s' = post l set a in
+              if Bitset.is_empty s' then -1 else intern s'))
+    in
+    let delta = each_row (fun set -> Array.init k' (fun b -> intern (post img set b))) in
+    let n = Array.length delta in
+    let d =
+      Dfa.create ~alphabet:h.abstract ~states:n ~initial:s0 ~delta
+        ~finals:
+          (List.filter
+             (fun r -> not (Bitset.is_empty (Hashtbl.find sets r)))
+             (List.init n Fun.id))
+    in
+    let cls = Dfa.residual_classes d in
+    (* Simplicity at (S, t): some pair (t', y') reachable from (t, row of
+       S) has t' accepting (so u ∈ cont(h w, h L)) and cls t' = cls y'.
+       Start pairs found good are memoized; reaching one ends a search. *)
+    let good = Hashtbl.create 64 in
+    let config_ok t y =
+      let seen = Hashtbl.create 16 and queue = Queue.create () in
+      let visit t y =
+        if not (Hashtbl.mem seen ((t * n) + y)) then begin
+          Hashtbl.add seen ((t * n) + y) ();
+          Queue.add (t, y) queue
+        end
+      in
+      visit t y;
+      let found = ref false in
+      while (not !found) && not (Queue.is_empty queue) do
+        let t, y = Queue.pop queue in
+        if Hashtbl.mem good ((t * n) + y) || (Dfa.is_final d t && cls.(t) = cls.(y))
+        then found := true
+        else
+          for b = 0 to k' - 1 do
+            visit (Dfa.step d t b) (Dfa.step d y b)
+          done
+      done;
+      if !found then Hashtbl.replace good ((t * n) + y) ();
+      !found
+    in
+    (* BFS over configurations (S, t), tracking access words for
+       counterexamples. *)
+    let seen = Hashtbl.create 64 and queue = Queue.create () in
+    Hashtbl.add seen ((s0 * n) + s0) ();
+    Queue.add (s0, s0, []) queue;
+    let configurations = ref 0 and failure = ref None in
     while !failure = None && not (Queue.is_empty queue) do
-      let (s, t), rpath = Queue.pop queue in
+      let s, t, rpath = Queue.pop queue in
       Rl_engine_kernel.Budget.tick budget;
-      incr count;
-      let y_dfa, classes_big, classes_y = y_data s in
-      if not (config_ok ~big ~classes_big ~y_dfa ~classes_y t) then
-        failure := Some (Word.of_list (List.rev rpath))
+      incr configurations;
+      if not (config_ok t s) then failure := Some (Word.of_list (List.rev rpath))
       else
         for a = 0 to k - 1 do
-          let s' = Bitset.create nl in
-          Bitset.iter
-            (fun q -> List.iter (Bitset.add s') (Nfa.successors l q a))
-            s;
-          if not (Bitset.is_empty s') then begin
-            let t' =
-              match h.map.(a) with None -> t | Some b -> Dfa.step big t b
-            in
-            let cfg = (s', t') in
-            if not (Config_tbl.mem seen cfg) then begin
-              Config_tbl.add seen cfg ();
-              Queue.add (cfg, a :: rpath) queue
-            end
+          let s' = concrete_next.(s).(a) in
+          let t' = match h.map.(a) with None -> t | Some b -> Dfa.step d t b in
+          if s' >= 0 && not (Hashtbl.mem seen ((s' * n) + t')) then begin
+            Hashtbl.add seen ((s' * n) + t') ();
+            Queue.add (s', t', a :: rpath) queue
           end
         done
     done;
-    match !failure with
-    | Some w -> { simple = false; configurations = !count; witness = Some w }
-    | None -> { simple = true; configurations = !count; witness = None }
+    { simple = !failure = None; configurations = !configurations; witness = !failure }
   end
-
-let is_simple h l = (analyze h l).simple
-
-let simple_at h l w =
-  check_ts l;
-  let l = Nfa.trim l in
-  let nl = Nfa.states l in
-  let s =
-    List.fold_left
-      (fun s a ->
-        let s' = Bitset.create nl in
-        Bitset.iter (fun q -> List.iter (Bitset.add s') (Nfa.successors l q a)) s;
-        s')
-      (Bitset.of_list nl (Nfa.initial l))
-      (Word.to_list w)
-  in
-  if Bitset.is_empty s then invalid_arg "Hom.simple_at: word not in L";
-  let big = Dfa.determinize (image h l) in
-  let t = Dfa.run big (apply_word h w) in
-  let from_s =
-    Nfa.create ~alphabet:(Nfa.alphabet l) ~states:nl
-      ~initial:(Bitset.elements s)
-      ~finals:(List.init nl Fun.id)
-      ~transitions:(Nfa.transitions l) ()
-  in
-  let y_dfa = Dfa.determinize (image h from_s) in
-  let classes_big, classes_y = Dfa.equivalence_classes big y_dfa in
-  config_ok ~big ~classes_big ~y_dfa ~classes_y t
 
 let pp ppf h =
   Format.fprintf ppf "@[<v>h : %a → %a ∪ {ε}@," Alphabet.pp h.concrete

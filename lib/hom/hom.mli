@@ -12,7 +12,7 @@
     every [w ∈ L] there must be a continuation [u] of [h(w)] in [h(L)]
     after which the abstract continuations coincide with the images of the
     concrete ones — [cont(u, cont(h(w), h(L))) = cont(u, h(cont(w, L)))].
-    [is_simple] decides this for prefix-closed regular [L]. *)
+    [analyze] decides this for prefix-closed regular [L]. *)
 
 open Rl_sigma
 open Rl_automata
@@ -90,19 +90,12 @@ type verdict = {
       (** a shortest [w ∈ L] at which simplicity fails (when not simple) *)
 }
 
-(** [is_simple h l] decides simplicity of [h] for the prefix-closed
-    language of the transition system [l] (all-states-final NFA).
-    @raise Invalid_argument if [l] is not all-states-final. *)
-val is_simple : t -> Nfa.t -> bool
-
-(** [analyze ?budget h l] is the full verdict, with a failing word when not
-    simple. [budget] is ticked once per examined configuration and spent in
-    the inner determinizations. *)
+(** [analyze ?budget h l] decides simplicity of [h] for the prefix-closed
+    language of the transition system [l] (all-states-final NFA), with a
+    failing word when not simple. It builds one subset table over the image
+    of [l] and minimizes it once; [budget] is ticked once per examined
+    configuration and once per table row.
+    @raise Invalid_argument if [l] has ε-moves or is not all-states-final. *)
 val analyze : ?budget:Rl_engine_kernel.Budget.t -> t -> Nfa.t -> verdict
-
-(** [simple_at h l w] decides Definition 6.3 at one word: whether some
-    [u ∈ cont(h w, h L)] equalizes the abstract and image continuations.
-    Exposed for cross-validation in tests. *)
-val simple_at : t -> Nfa.t -> Word.t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -47,3 +47,28 @@ let gen_lasso ~letters ~stem_max ~cycle_max =
       (list_size (0 -- stem_max) (0 -- (letters - 1)))
       (list_size (1 -- cycle_max) (0 -- (letters - 1)))
     >|= fun (s, c) -> Lasso.make (Word.of_list s) (Word.of_list c))
+
+(* Residual-language classes of the states of two DFAs over one alphabet:
+   the classes of their disjoint union, [b]'s states shifted past [a]'s.
+   Two states (possibly across the automata) share a class iff their
+   residual languages are equal. *)
+let union_classes a b =
+  let open Rl_automata in
+  let na = Dfa.states a and nb = Dfa.states b in
+  let k = Alphabet.size (Dfa.alphabet a) in
+  let delta =
+    Array.init (na + nb) (fun q ->
+        if q < na then Array.init k (Dfa.step a q)
+        else Array.init k (fun s -> na + Dfa.step b (q - na) s))
+  in
+  let finals =
+    List.filter
+      (fun q -> if q < na then Dfa.is_final a q else Dfa.is_final b (q - na))
+      (List.init (na + nb) Fun.id)
+  in
+  let classes =
+    Dfa.residual_classes
+      (Dfa.create ~alphabet:(Dfa.alphabet a) ~states:(na + nb) ~initial:0
+         ~finals ~delta)
+  in
+  (Array.sub classes 0 na, Array.sub classes na nb)

@@ -300,7 +300,7 @@ let prop_equivalence_classes =
     QCheck2.Gen.(pair gen_nfa gen_nfa)
     (fun (n1, n2) ->
       let d1 = Dfa.determinize n1 and d2 = Dfa.determinize n2 in
-      let c1, c2 = Dfa.equivalence_classes d1 d2 in
+      let c1, c2 = Helpers.union_classes d1 d2 in
       let ok = ref true in
       for q1 = 0 to Dfa.states d1 - 1 do
         for q2 = 0 to Dfa.states d2 - 1 do

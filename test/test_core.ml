@@ -119,7 +119,7 @@ let test_fig4_simplicity () =
   let h_good = Paper.observable_hom Paper.server_ts in
   let h_bad = Paper.observable_hom Paper.faulty_ts in
   Alcotest.(check bool) "simple on Figure 2" true
-    (Rl_hom.Hom.is_simple h_good Paper.server_ts);
+    (Rl_hom.Hom.analyze h_good Paper.server_ts).Rl_hom.Hom.simple;
   let verdict = Rl_hom.Hom.analyze h_bad Paper.faulty_ts in
   Alcotest.(check bool) "not simple on Figure 3" false verdict.Rl_hom.Hom.simple;
   match verdict.Rl_hom.Hom.witness with
@@ -127,7 +127,7 @@ let test_fig4_simplicity () =
   | Some w ->
       (* cross-check with the single-word decision procedure *)
       Alcotest.(check bool) "witness confirmed" false
-        (Rl_hom.Hom.simple_at h_bad Paper.faulty_ts w)
+        (Hom_oracle.simple_at h_bad Paper.faulty_ts w)
 
 let test_fig4_pipeline () =
   let report_good =

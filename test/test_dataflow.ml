@@ -151,7 +151,7 @@ let keep_of_mask mask =
 (* RL504 is a sound over-approximation: whenever the static conditions
    prove simplicity, the exact configuration search must agree *)
 let prop_rl504_sound =
-  QCheck2.Test.make ~name:"RL504 (static simplicity) implies Hom.is_simple"
+  QCheck2.Test.make ~name:"RL504 (static simplicity) implies Hom.analyze simple"
     ~count:150
     QCheck2.Gen.(triple (0 -- 1_000_000) (1 -- 6) (1 -- 6))
     (fun (seed, states, mask) ->
@@ -163,7 +163,7 @@ let prop_rl504_sound =
       let ds = Lint.run { Lint.empty with system = Some ts; keep = Some keep } in
       if has "RL504" ds then
         let hom = Rl_hom.Hom.hiding ~concrete:(Nfa.alphabet ts) ~keep in
-        Rl_hom.Hom.is_simple hom (Nfa.trim ts)
+        (Rl_hom.Hom.analyze hom (Nfa.trim ts)).Rl_hom.Hom.simple
       else true)
 
 (* likewise RL506: the static proof must agree with the bounded search *)

@@ -147,7 +147,7 @@ let test_simple_identity () =
     Gen.transition_system (Helpers.mk_rng 5) ~alphabet:abc ~states:4
       ~branching:1.6
   in
-  Alcotest.(check bool) "renaming simple" true (Hom.is_simple rename ts)
+  Alcotest.(check bool) "renaming simple" true (Hom.analyze rename ts).Hom.simple
 
 let test_simple_total_hiding () =
   (* hiding everything: h(L) = {ε}; both continuation sets are {ε} *)
@@ -159,7 +159,7 @@ let test_simple_total_hiding () =
     Gen.transition_system (Helpers.mk_rng 9) ~alphabet:abc ~states:3
       ~branching:1.4
   in
-  Alcotest.(check bool) "total hiding simple" true (Hom.is_simple hide_all ts)
+  Alcotest.(check bool) "total hiding simple" true (Hom.analyze hide_all ts).Hom.simple
 
 let test_same_letter_branches_are_simple () =
   (* both branches are taken by the SAME hidden letter, so the word "a"
@@ -175,7 +175,7 @@ let test_same_letter_branches_are_simple () =
       [ ("a", None); ("b", Some "u"); ("c", Some "v") ]
   in
   Alcotest.(check bool) "nondeterministic branching stays simple" true
-    (Hom.is_simple h ts)
+    (Hom.analyze h ts).Hom.simple
 
 let test_not_simple_committed_choice () =
   (* the system commits invisibly through two DIFFERENT hidden letters:
@@ -207,7 +207,7 @@ let test_not_simple_committed_choice () =
   Alcotest.(check bool) "not simple" false verdict.Hom.simple;
   match verdict.Hom.witness with
   | None -> Alcotest.fail "expected witness"
-  | Some w -> Alcotest.(check bool) "witness fails" false (Hom.simple_at h ts w)
+  | Some w -> Alcotest.(check bool) "witness fails" false (Hom_oracle.simple_at h ts w)
 
 let test_not_simple_committed_choice_nondeterministic () =
   (* same, but the invisible commitment happens through nondeterminism on
@@ -238,7 +238,7 @@ let test_not_simple_committed_choice_nondeterministic () =
       (* pointwise check must agree with the global one on every word *)
       if not verdict.Hom.simple then ()
       else Alcotest.(check bool) (String.concat "." names) true
-          (Hom.simple_at h ts w))
+          (Hom_oracle.simple_at h ts w))
     [ []; [ "c" ]; [ "b" ]; [ "c"; "b" ] ]
 
 let prop_analyze_agrees_with_pointwise =
@@ -284,7 +284,7 @@ let prop_analyze_agrees_with_pointwise =
       in
       let start = List.hd (Nfa.initial ts) in
       let w = Word.of_list (walk start [] len) in
-      let pointwise = Hom.simple_at h ts w in
+      let pointwise = Hom_oracle.simple_at h ts w in
       (* global simple ⟹ pointwise simple everywhere; global failure at
          the witness is checked elsewhere *)
       (not verdict.Hom.simple) || pointwise)
@@ -312,7 +312,90 @@ let prop_simplicity_witness_sound =
       | { Hom.simple = true; witness = Some _; _ } -> false
       | { Hom.simple = false; witness = None; _ } -> false
       | { Hom.simple = false; witness = Some w; _ } ->
-          not (Hom.simple_at h ts w))
+          not (Hom_oracle.simple_at h ts w))
+
+(* The C7 hidden pipeline: [stages] hidden steps into an observable
+   ok/fail loop; with [fail_every], every such stage can also fail
+   straight into the loop. *)
+let pipeline ?fail_every stages =
+  let alpha = Alphabet.make [ "step"; "ok"; "fail" ] in
+  let s = Alphabet.symbol alpha in
+  let loop = [ (stages, s "ok", stages); (stages, s "fail", stages) ] in
+  let steps =
+    List.init stages (fun i ->
+        let fails =
+          match fail_every with
+          | Some m when i mod m = m - 1 -> [ (i, s "fail", stages) ]
+          | _ -> []
+        in
+        (i, s "step", i + 1) :: fails)
+  in
+  let ts =
+    Nfa.create ~alphabet:alpha ~states:(stages + 1) ~initial:[ 0 ]
+      ~finals:(List.init (stages + 1) Fun.id)
+      ~transitions:(loop @ List.concat steps) ()
+  in
+  (ts, Hom.hiding ~concrete:alpha ~keep:[ "ok"; "fail" ])
+
+(* Random systems over 2–4 concrete letters, each renamed onto u or v or
+   hidden, and now and then a hidden pipeline. *)
+let gen_simplicity_case =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 9,
+          let* seed = 0 -- 1_000_000 in
+          let* letters = 2 -- 4 in
+          let* states = 1 -- 9 in
+          let* branching = float_range 1.0 2.0 in
+          let concrete =
+            Alphabet.make (List.filteri (fun i _ -> i < letters) [ "a"; "b"; "c"; "d" ])
+          in
+          let ts =
+            Gen.transition_system (Helpers.mk_rng seed) ~alphabet:concrete
+              ~states ~branching
+          in
+          let+ targets = list_repeat letters (0 -- 2) in
+          let mapping =
+            List.map2
+              (fun name t ->
+                (name, match t with 0 -> Some "u" | 1 -> Some "v" | _ -> None))
+              (Alphabet.names concrete) targets
+          in
+          (ts, Hom.create ~concrete ~abstract:uv mapping) );
+        ( 1,
+          let* stages = 4 -- 64 in
+          let+ fail_every = opt (1 -- 4) in
+          pipeline ?fail_every stages );
+      ])
+
+let prop_analyze_matches_oracle =
+  QCheck2.Test.make ~name:"analyze = per-S oracle: simple, configurations, witness"
+    ~count:1000 ~long_factor:20
+    ~print:(fun (ts, h) -> Format.asprintf "%a@.%a" Nfa.pp ts Hom.pp h)
+    gen_simplicity_case
+    (fun (ts, h) ->
+      let v = Hom.analyze h ts and o = Hom_oracle.analyze h ts in
+      v.Hom.simple = o.Hom.simple
+      && v.Hom.configurations = o.Hom.configurations
+      && Option.equal Word.equal v.Hom.witness o.Hom.witness)
+
+(* The work [analyze] does is one tick per configuration and one per row
+   of its subset table: on the 128-stage pipeline, 130 configurations and
+   129 rows. *)
+let test_pipeline_budget () =
+  let ts, h = pipeline 128 in
+  let budget = Rl_engine_kernel.Budget.create () in
+  let v = Hom.analyze ~budget h ts in
+  Alcotest.(check bool) "simple" true v.Hom.simple;
+  Alcotest.(check int) "configurations" 130 v.Hom.configurations;
+  Alcotest.(check int) "states explored" 259
+    (Rl_engine_kernel.Budget.states_explored budget);
+  match
+    Hom.analyze ~budget:(Rl_engine_kernel.Budget.create ~max_states:200 ()) h ts
+  with
+  | _ -> Alcotest.fail "a 200-state budget should run out"
+  | exception Rl_engine_kernel.Budget.Exhausted _ -> ()
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
@@ -323,6 +406,7 @@ let qsuite =
       prop_hash_extend;
       prop_analyze_agrees_with_pointwise;
       prop_simplicity_witness_sound;
+      prop_analyze_matches_oracle;
     ]
 
 let () =
@@ -346,6 +430,7 @@ let () =
             test_not_simple_committed_choice;
           Alcotest.test_case "nondeterministic variant" `Quick
             test_not_simple_committed_choice_nondeterministic;
+          Alcotest.test_case "pipeline work bound" `Quick test_pipeline_budget;
         ] );
       ("properties", qsuite);
     ]
