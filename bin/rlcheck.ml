@@ -406,13 +406,18 @@ let simple_cmd =
 
 (* --- decompose: safety/liveness classification --- *)
 
-let run_decompose path formula_src max_states bound jobs no_lint =
+let run_decompose path formula_src max_states timeout bound jobs no_lint =
   guarded @@ fun () ->
   with_jobs jobs @@ fun pool ->
   let* f = parse_formula formula_src in
   let* ts = load_and_lint ?bound ~formula:f ~no_lint path in
   let alpha = Nfa.alphabet ts in
-  let budget = Budget.create ?max_states () in
+  let budget = Budget.create ?max_states ?timeout () in
+  (* the legs share the wall clock only: a state count shared across
+     legs running side by side would make the tripping leg depend on the
+     interleaving. Each Kupferman–Vardi complementation (one in the safety
+     leg, one in the decompose leg) is capped by --max-states on its own. *)
+  let clock = Budget.create ?timeout () in
   let b =
     Budget.with_phase budget "translate property" (fun () ->
         Rl_ltl.Translate.to_buchi ~budget ~alphabet:alpha
@@ -420,20 +425,19 @@ let run_decompose path formula_src max_states bound jobs no_lint =
           f)
   in
   Format.printf "property automaton: %d states@." (Buchi.states b);
-  (* the three per-property checks are independent: fan them out. The
-     decompose leg embeds a Kupferman–Vardi complementation, the one
-     exponential step here; --max-states caps it, and Complement.Too_large
-     surfaces through Error.of_exn as the exit-code-4 verdict — but only
-     after the classification lines are printed, so its thunk hands back
-     the exception as a value instead of abandoning its siblings. *)
+  (* the three per-property checks are independent: fan them out. Each
+     thunk hands back its exception (Complement.Too_large, exhaustion of
+     the clock) as a value, so a pool never abandons the other legs, and
+     the first failing leg in print order decides the exit code
+     (Error.of_exn maps both to 4) after the lines before it are
+     printed, whatever the pool size. *)
+  let leg check () = match check () with v -> Ok v | exception e -> Error e in
   let checks =
     [
-      (fun () -> `Bool (Classify.is_safety b));
-      (fun () -> `Bool (Classify.is_liveness b));
-      (fun () ->
-        match Classify.decompose ?max_states b with
-        | parts -> `Decomposition (Ok parts)
-        | exception e -> `Decomposition (Error e));
+      leg (fun () -> `Safety (Classify.is_safety ~budget:clock ?max_states b));
+      leg (fun () -> `Liveness (Classify.is_liveness ~budget:clock b));
+      leg (fun () ->
+          `Decomposition (Classify.decompose ~budget:clock ?max_states b));
     ]
   in
   let results =
@@ -441,17 +445,19 @@ let run_decompose path formula_src max_states bound jobs no_lint =
     | Some p when Pool.size p > 1 -> Pool.parfan p checks
     | _ -> List.map (fun check -> check ()) checks
   in
-  match results with
-  | [ `Bool safety; `Bool liveness; `Decomposition parts ] ->
-      Format.printf "safety property: %b@." safety;
-      Format.printf "liveness property: %b@." liveness;
-      let s, l = match parts with Ok parts -> parts | Error e -> raise e in
-      Format.printf
-        "decomposition (Alpern–Schneider): safety closure %d states, liveness \
-         part %d states@."
-        (Buchi.states s) (Buchi.states l);
-      Ok ()
-  | _ -> assert false
+  List.iter
+    (function
+      | Error e -> raise e
+      | Ok (`Safety safety) -> Format.printf "safety property: %b@." safety
+      | Ok (`Liveness liveness) ->
+          Format.printf "liveness property: %b@." liveness
+      | Ok (`Decomposition (s, l)) ->
+          Format.printf
+            "decomposition (Alpern–Schneider): safety closure %d states, \
+             liveness part %d states@."
+            (Buchi.states s) (Buchi.states l))
+    results;
+  Ok ()
 
 let decompose_cmd =
   let doc = "classify a property as safety/liveness and decompose it" in
@@ -459,7 +465,7 @@ let decompose_cmd =
     (Cmd.info "decompose" ~doc)
     Term.(
       const run_decompose $ system_arg $ formula_arg $ max_states_arg
-      $ bound_arg $ jobs_arg $ no_lint_arg)
+      $ timeout_arg $ bound_arg $ jobs_arg $ no_lint_arg)
 
 (* --- compose: parallel composition of systems --- *)
 

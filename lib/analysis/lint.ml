@@ -28,11 +28,41 @@ let empty =
     locs = [];
   }
 
+module Scc = Rl_prelude.Scc
+
+(* --- the shared system analysis ---
+
+   Several passes ask the same structural questions of one system: its
+   Büchi view, whether that view has an accepting run, which states are
+   reachable or live, and how it splits into components. [run] builds one
+   [context] per input, and each answer is computed on first use, at
+   most once. *)
+
+type graph = {
+  reach : Bitset.t;  (* the states reachable over the CSR table *)
+  scc : Scc.t;  (* the components of the CSR table *)
+  reached : bool array;  (* [reached.(c)]: component [c] is reachable *)
+}
+
+type behavior = {
+  buchi : Buchi.t;  (* the system read as a Büchi automaton *)
+  live : Bitset.t;  (* its live states ([Buchi.live]) *)
+  empty : bool;  (* no initial state is live: [Lω = ∅] *)
+}
+
+type context = {
+  input : input;
+  graph : graph Lazy.t;  (* forced only when [input.system] is present *)
+  behavior : behavior option Lazy.t;
+      (* [None] unless the system is a non-empty, ε-free NFA whose
+         states are all final *)
+}
+
 type pass = {
   name : string;
   codes : string list;
   deep : bool;
-  run : input -> Diagnostic.t list;
+  run : context -> Diagnostic.t list;
 }
 
 (* --- small helpers --- *)
@@ -85,6 +115,58 @@ let ts_buchi sys =
   if Nfa.states sys = 0 || Nfa.has_eps sys || not (Nfa.all_states_final sys)
   then None
   else Some (Buchi.of_transition_system sys)
+
+let reach_of sys = Dataflow.reachable (Nfa.csr sys) ~init:(Nfa.initial sys)
+
+let context input =
+  let graph =
+    lazy
+      (let sys =
+         match input.system with
+         | Some sys -> sys
+         | None -> invalid_arg "Lint: no system to analyse"
+       in
+       let reach = reach_of sys and scc = Scc.of_csr (Nfa.csr sys) in
+       (* a component is strongly connected: one reachable member makes
+          all of them reachable *)
+       let reached = Array.make scc.Scc.count false in
+       Bitset.iter (fun q -> reached.(scc.Scc.comp.(q)) <- true) reach;
+       { reach; scc; reached })
+  in
+  let behavior =
+    lazy
+      (match input.system with
+      | None -> None
+      | Some sys ->
+          Option.map
+            (fun buchi ->
+              let live = Buchi.live buchi in
+              let empty =
+                not (List.exists (Bitset.mem live) (Buchi.initial buchi))
+              in
+              { buchi; live; empty })
+            (ts_buchi sys))
+  in
+  { input; graph; behavior }
+
+(* the behavior of a system whose [Lω] is not empty *)
+let nonempty_behavior ctx =
+  match Lazy.force ctx.behavior with
+  | Some v when not v.empty -> Some v
+  | _ -> None
+
+(* reachable components a run could stay in forever *)
+let cycle_component g c = Scc.nontrivial g.scc c && g.reached.(c)
+
+(* the components a strongly fair run can have as its infinity set: the
+   infinity set of a fair run is closed under every transition (each is
+   enabled, hence taken, infinitely often), strongly connected, and
+   reachable — and conversely a round-robin tour of a reachable closed
+   cycle-bearing SCC is strongly fair. *)
+let feasible g c = g.scc.Scc.closed.(c) && cycle_component g c
+
+let feasible_components g =
+  List.filter (feasible g) (List.init g.scc.Scc.count Fun.id)
 
 let lint_budget i =
   match i.budget with
@@ -185,34 +267,32 @@ let run_unreachable i =
                (if List.length dead = 1 then "is" else "are"));
         ]
 
-let run_behavior i =
-  match i.system with
+let run_behavior ctx =
+  let i = ctx.input in
+  match Lazy.force ctx.behavior with
   | None -> []
-  | Some sys -> (
-      match ts_buchi sys with
-      | None -> []
-      | Some b ->
-          if Buchi.is_empty b then [ empty_behavior ?file:i.file () ]
-          else
-            let reach = Buchi.reachable b and live = Buchi.live b in
-            let dead =
-              List.filter
-                (fun q -> Bitset.mem reach q && not (Bitset.mem live q))
-                (List.init (Buchi.states b) Fun.id)
-            in
-            if dead = [] then []
-            else
-              [
-                Diagnostic.make ?file:i.file ~code:"RL102" ~severity:Warning
-                  ~fix:
-                    "give the states a continuation (a cycle must be \
-                     reachable), or remove them"
-                  (Printf.sprintf
-                     "%s can reach no cycle: words through %s belong to L \
-                      but are prefixes of no behavior in Lω"
-                     (fmt_states dead)
-                     (if List.length dead = 1 then "it" else "them"));
-              ])
+  | Some v ->
+      if v.empty then [ empty_behavior ?file:i.file () ]
+      else
+        let reach = (Lazy.force ctx.graph).reach in
+        let dead =
+          List.filter
+            (fun q -> Bitset.mem reach q && not (Bitset.mem v.live q))
+            (List.init (Buchi.states v.buchi) Fun.id)
+        in
+        if dead = [] then []
+        else
+          [
+            Diagnostic.make ?file:i.file ~code:"RL102" ~severity:Warning
+              ~fix:
+                "give the states a continuation (a cycle must be \
+                 reachable), or remove them"
+              (Printf.sprintf
+                 "%s can reach no cycle: words through %s belong to L but \
+                  are prefixes of no behavior in Lω"
+                 (fmt_states dead)
+                 (if List.length dead = 1 then "it" else "them"));
+          ]
 
 let run_alphabet_mismatch i =
   match (i.system, i.property) with
@@ -223,62 +303,51 @@ let run_alphabet_mismatch i =
 
 (* --- fairness passes --- *)
 
-let run_fairness i =
-  match i.system with
+(* A reachable feasible component settles the question in one SCC pass;
+   only without one does the exact Streett search run. *)
+let run_fairness ctx =
+  match nonempty_behavior ctx with
   | None -> []
-  | Some sys -> (
-      match ts_buchi sys with
-      | None -> []
-      | Some b ->
-          if Buchi.is_empty b then []
-          else if Rl_fair.Streett.fair_run_exists b then []
-          else
-            [
-              Diagnostic.make ?file:i.file ~code:"RL201" ~severity:Warning
-                ~fix:
-                  "look for states whose outgoing transitions cannot all be \
-                   honoured infinitely often (e.g. exits into dead ends)"
-                "no strongly fair run exists: every 'fair' verdict is \
-                 vacuously true and Theorem 5.1 has nothing to implement";
-            ])
+  | Some v ->
+      let g = Lazy.force ctx.graph in
+      let rec some_feasible k =
+        k < g.scc.Scc.count && (feasible g k || some_feasible (k + 1))
+      in
+      if some_feasible 0 || Rl_fair.Streett.fair_run_exists v.buchi then []
+      else
+        [
+          Diagnostic.make ?file:ctx.input.file ~code:"RL201" ~severity:Warning
+            ~fix:
+              "look for states whose outgoing transitions cannot all be \
+               honoured infinitely often (e.g. exits into dead ends)"
+            "no strongly fair run exists: every 'fair' verdict is vacuously \
+             true and Theorem 5.1 has nothing to implement";
+        ]
 
-let run_vacuous_pairs i =
-  match i.system with
+let run_vacuous_pairs ctx =
+  match nonempty_behavior ctx with
   | None -> []
-  | Some sys -> (
-      match ts_buchi sys with
-      | None -> []
-      | Some b ->
-          if Buchi.is_empty b then []
-          else
-            let comp, ncomp = Buchi.sccs b in
-            let size = Array.make ncomp 0 in
-            Array.iter (fun c -> size.(c) <- size.(c) + 1) comp;
-            let self_loop = Array.make (Buchi.states b) false in
-            List.iter
-              (fun (q, _, q') -> if q = q' then self_loop.(q) <- true)
-              (Buchi.transitions b);
-            let on_cycle q = size.(comp.(q)) > 1 || self_loop.(q) in
-            let reach = Buchi.reachable b in
-            let vacuous =
-              List.filter
-                (fun (q, _, _) -> Bitset.mem reach q && not (on_cycle q))
-                (Buchi.transitions b)
-            in
-            let n = List.length vacuous in
-            if n = 0 then []
-            else
-              [
-                Diagnostic.make ?file:i.file ~code:"RL202" ~severity:Hint
-                  (Printf.sprintf
-                     "%d transition%s leave%s states that lie on no cycle: \
-                      the corresponding strong-fairness (Streett) \
-                      constraints can never be enabled infinitely often and \
-                      are vacuous"
-                     n
-                     (if n = 1 then "" else "s")
-                     (if n = 1 then "s" else ""));
-              ])
+  | Some v ->
+      let g = Lazy.force ctx.graph in
+      let on_cycle q = Scc.nontrivial g.scc g.scc.Scc.comp.(q) in
+      let vacuous =
+        List.filter
+          (fun (q, _, _) -> Bitset.mem g.reach q && not (on_cycle q))
+          (Buchi.transitions v.buchi)
+      in
+      let n = List.length vacuous in
+      if n = 0 then []
+      else
+        [
+          Diagnostic.make ?file:ctx.input.file ~code:"RL202" ~severity:Hint
+            (Printf.sprintf
+               "%d transition%s leave%s states that lie on no cycle: the \
+                corresponding strong-fairness (Streett) constraints can \
+                never be enabled infinitely often and are vacuous"
+               n
+               (if n = 1 then "" else "s")
+               (if n = 1 then "s" else ""));
+        ]
 
 (* --- formula passes --- *)
 
@@ -443,10 +512,6 @@ let run_keep i =
    {!Rl_prelude.Scc}. All passes are [deep] — they never run in the
    deciders' pre-flight. *)
 
-module Scc = Rl_prelude.Scc
-
-let reach_of sys = Dataflow.reachable (Nfa.csr sys) ~init:(Nfa.initial sys)
-
 (* structural guard shared by the component passes: the semantic
    arguments below assume an ε-free system with at least one state *)
 let plain_system i =
@@ -460,11 +525,12 @@ let plain_system i =
    line is known the removal is machine-applicable — unless the label
    occurs on no live line and the alphabet is inferred, where deleting
    the line could shrink the alphabet. *)
-let run_dead_transitions i =
+let run_dead_transitions ctx =
+  let i = ctx.input in
   match i.system with
   | None -> []
   | Some sys ->
-      let reach = reach_of sys in
+      let reach = (Lazy.force ctx.graph).reach in
       let al = Nfa.alphabet sys in
       let dead =
         List.sort_uniq compare
@@ -525,35 +591,21 @@ let run_dead_transitions i =
                   locs)
           dead
 
-(* reachable components a run could stay in forever *)
-let cycle_component reach scc c =
-  Scc.nontrivial scc c
-  && (match Scc.members scc c with q :: _ -> Bitset.mem reach q | [] -> false)
-
-(* the components a strongly fair run can have as its infinity set: the
-   infinity set of a fair run is closed under every transition (each is
-   enabled, hence taken, infinitely often), strongly connected, and
-   reachable — and conversely a round-robin tour of a reachable closed
-   cycle-bearing SCC is strongly fair. *)
-let feasible_components reach scc =
-  List.filter
-    (fun c -> scc.Scc.closed.(c) && cycle_component reach scc c)
-    (List.init scc.Scc.count Fun.id)
-
 (* [RL502] A trap: a reachable closed cycle-bearing component that is a
    proper subset of the reachable states — once a run enters, the rest of
    the system is gone for good. *)
-let run_trap_components i =
+let run_trap_components ctx =
+  let i = ctx.input in
   match plain_system i with
   | None -> []
-  | Some sys ->
-      let reach = reach_of sys in
-      let scc = Scc.of_csr (Nfa.csr sys) in
-      let nreach = Bitset.cardinal reach in
+  | Some _ ->
+      let g = Lazy.force ctx.graph in
+      let scc = g.scc in
+      let nreach = Bitset.cardinal g.reach in
       let traps =
         List.filter
           (fun c -> scc.Scc.size.(c) < nreach)
-          (feasible_components reach scc)
+          (feasible_components g)
       in
       List.filteri (fun idx _ -> idx < 4) traps
       |> List.map (fun c ->
@@ -572,95 +624,79 @@ let run_trap_components i =
    unsatisfiable (RL201), and each open cycle-bearing component is a
    structural reason why — fairness forces every run out through its exit
    edges. *)
-let run_fair_infeasibility i =
-  match plain_system i with
-  | None -> []
-  | Some sys -> (
-      match ts_buchi sys with
-      | None -> []
-      | Some b ->
-          if Buchi.is_empty b then []
-          else
-            let reach = reach_of sys in
-            let scc = Scc.of_csr (Nfa.csr sys) in
-            if feasible_components reach scc <> [] then []
-            else
-              let al = Nfa.alphabet sys in
-              let candidates =
-                List.filter
-                  (fun c -> cycle_component reach scc c)
-                  (List.init scc.Scc.count Fun.id)
-              in
-              List.filteri (fun idx _ -> idx < 4) candidates
-              |> List.map (fun c ->
-                     let exit =
-                       List.find_opt
-                         (fun (q, _, q') ->
-                           scc.Scc.comp.(q) = c && scc.Scc.comp.(q') <> c)
-                         (Nfa.transitions sys)
-                     in
-                     let via =
-                       match exit with
-                       | Some (q, a, q') ->
-                           Printf.sprintf " (e.g. %d %s %d)" q
-                             (Alphabet.name al a) q'
-                       | None -> ""
-                     in
-                     Diagnostic.make ?file:i.file ~code:"RL503"
-                       ~severity:Warning
-                       ~fix:
-                         "close the component (give its exits a way back) or \
-                          drop the fairness assumption"
-                       (Printf.sprintf
-                          "the cycle through %s cannot be the infinity set \
-                           of a strongly fair run: fairness forces the run \
-                           out through its exit transitions%s"
-                          (fmt_states (Scc.members scc c))
-                          via)))
+let run_fair_infeasibility ctx =
+  let i = ctx.input in
+  match (plain_system i, nonempty_behavior ctx) with
+  | Some sys, Some _ ->
+      let g = Lazy.force ctx.graph in
+      let scc = g.scc in
+      if feasible_components g <> [] then []
+      else
+        let al = Nfa.alphabet sys in
+        let candidates =
+          List.filter (cycle_component g) (List.init scc.Scc.count Fun.id)
+        in
+        List.filteri (fun idx _ -> idx < 4) candidates
+        |> List.map (fun c ->
+               let exit =
+                 List.find_opt
+                   (fun (q, _, q') ->
+                     scc.Scc.comp.(q) = c && scc.Scc.comp.(q') <> c)
+                   (Nfa.transitions sys)
+               in
+               let via =
+                 match exit with
+                 | Some (q, a, q') ->
+                     Printf.sprintf " (e.g. %d %s %d)" q (Alphabet.name al a)
+                       q'
+                 | None -> ""
+               in
+               Diagnostic.make ?file:i.file ~code:"RL503" ~severity:Warning
+                 ~fix:
+                   "close the component (give its exits a way back) or drop \
+                    the fairness assumption"
+                 (Printf.sprintf
+                    "the cycle through %s cannot be the infinity set of a \
+                     strongly fair run: fairness forces the run out through \
+                     its exit transitions%s"
+                    (fmt_states (Scc.members scc c))
+                    via))
+  | _ -> []
 
 (* [RL505] Vacuity under fairness: an action with no occurrence inside
    any feasible component is taken only finitely often in every strongly
    fair run — recurrence verdicts about it are predetermined. *)
-let run_fair_atom_vacuity i =
-  match (i.formula, plain_system i) with
-  | Some f, Some sys -> (
-      match ts_buchi sys with
-      | None -> []
-      | Some b ->
-          if Buchi.is_empty b then []
-          else
-            let reach = reach_of sys in
-            let scc = Scc.of_csr (Nfa.csr sys) in
-            let feasible = feasible_components reach scc in
-            if feasible = [] then [] (* RL201/RL503 already apply *)
-            else
-              let al = Nfa.alphabet sys in
-              let occurring, recurring =
-                List.fold_left
-                  (fun (occ, rec_) (q, a, _) ->
-                    if Bitset.mem reach q then
-                      let n = Alphabet.name al a in
-                      ( n :: occ,
-                        if List.mem scc.Scc.comp.(q) feasible then n :: rec_
-                        else rec_ )
-                    else (occ, rec_))
-                  ([], []) (Nfa.transitions sys)
-              in
-              List.filter_map
-                (fun x ->
-                  if List.mem x occurring && not (List.mem x recurring) then
-                    Some
-                      (Diagnostic.make ?file:i.file ~code:"RL505"
-                         ~severity:Hint
-                         (Printf.sprintf
-                            "action '%s' occurs in no component a strongly \
-                             fair run can settle in: it happens only \
-                             finitely often in every fair run, so \
-                             fairness-relative recurrence verdicts about it \
-                             are predetermined"
-                            x))
-                  else None)
-                (List.sort_uniq String.compare (Formula.atoms f)))
+let run_fair_atom_vacuity ctx =
+  let i = ctx.input in
+  match (i.formula, plain_system i, nonempty_behavior ctx) with
+  | Some f, Some sys, Some _ ->
+      let g = Lazy.force ctx.graph in
+      if feasible_components g = [] then [] (* RL201/RL503 already apply *)
+      else
+        let al = Nfa.alphabet sys in
+        let occurring, recurring =
+          List.fold_left
+            (fun (occ, rec_) (q, a, _) ->
+              if Bitset.mem g.reach q then
+                let n = Alphabet.name al a in
+                ( n :: occ,
+                  if feasible g g.scc.Scc.comp.(q) then n :: rec_ else rec_ )
+              else (occ, rec_))
+            ([], []) (Nfa.transitions sys)
+        in
+        List.filter_map
+          (fun x ->
+            if List.mem x occurring && not (List.mem x recurring) then
+              Some
+                (Diagnostic.make ?file:i.file ~code:"RL505" ~severity:Hint
+                   (Printf.sprintf
+                      "action '%s' occurs in no component a strongly fair run \
+                       can settle in: it happens only finitely often in every \
+                       fair run, so fairness-relative recurrence verdicts \
+                       about it are predetermined"
+                      x))
+            else None)
+          (List.sort_uniq String.compare (Formula.atoms f))
   | _ -> []
 
 (* --- static abstraction cleanliness (RL504/RL506) ---
@@ -860,13 +896,15 @@ let run_maximal_words i =
 
 (* --- the registry --- *)
 
+let on_input run ctx = run ctx.input
+
 let passes =
   [
     {
       name = "unreachable-states";
       codes = [ "RL101" ];
       deep = false;
-      run = run_unreachable;
+      run = on_input run_unreachable;
     };
     {
       name = "behavior-vacuity";
@@ -878,7 +916,7 @@ let passes =
       name = "alphabet-mismatch";
       codes = [ "RL104" ];
       deep = false;
-      run = run_alphabet_mismatch;
+      run = on_input run_alphabet_mismatch;
     };
     {
       name = "fair-vacuity";
@@ -896,37 +934,37 @@ let passes =
       name = "formula-atoms";
       codes = [ "RL301" ];
       deep = false;
-      run = run_atoms;
+      run = on_input run_atoms;
     };
     {
       name = "formula-trivial";
       codes = [ "RL302" ];
       deep = false;
-      run = run_trivial;
+      run = on_input run_trivial;
     };
     {
       name = "sigma-normal-form";
       codes = [ "RL303" ];
       deep = false;
-      run = run_sigma_normal;
+      run = on_input run_sigma_normal;
     };
     {
       name = "abstraction-structure";
       codes = [ "RL401"; "RL402"; "RL405" ];
       deep = false;
-      run = run_keep;
+      run = on_input run_keep;
     };
     {
       name = "simplicity";
       codes = [ "RL403" ];
       deep = true;
-      run = run_simplicity;
+      run = on_input run_simplicity;
     };
     {
       name = "maximal-words";
       codes = [ "RL404" ];
       deep = true;
-      run = run_maximal_words;
+      run = on_input run_maximal_words;
     };
     {
       name = "dead-transitions";
@@ -950,7 +988,7 @@ let passes =
       name = "static-simplicity";
       codes = [ "RL504" ];
       deep = true;
-      run = run_static_simplicity;
+      run = on_input run_static_simplicity;
     };
     {
       name = "fair-atom-vacuity";
@@ -962,7 +1000,7 @@ let passes =
       name = "static-maximal-words";
       codes = [ "RL506" ];
       deep = true;
-      run = run_static_maximal_words;
+      run = on_input run_static_maximal_words;
     };
   ]
 
@@ -1000,9 +1038,10 @@ let rules =
   ]
 
 let run ?(deep = true) input =
+  let ctx = context input in
   let found =
     List.concat_map
-      (fun p -> if p.deep && not deep then [] else p.run input)
+      (fun p -> if p.deep && not deep then [] else p.run ctx)
       passes
   in
   List.stable_sort Diagnostic.compare (input.parse @ found)

@@ -70,6 +70,13 @@ type input = {
 
 val empty : input
 
+(** What a pass sees: the {!input}, and the system analysis that
+    several passes share — the system's Büchi view with its live states
+    and emptiness, its reachable states and its components. {!run}
+    builds one context per input and computes each part on first use,
+    at most once. *)
+type context
+
 (** One registered pass. [deep] passes run bounded searches that can cost
     as much as a real check (simplicity analysis, maximal-word search);
     the pre-flight phase of the deciders skips them — the deciders that
@@ -79,7 +86,7 @@ type pass = {
   name : string;
   codes : string list;  (** diagnostic codes this pass can emit *)
   deep : bool;
-  run : input -> Diagnostic.t list;
+  run : context -> Diagnostic.t list;
 }
 
 (** The registry, in documentation order. *)

@@ -104,7 +104,17 @@ let limit_of_dfa d =
   create ~alphabet:(Dfa.alphabet d) ~states:(Dfa.states d)
     ~initial:[ Dfa.initial d ] ~accepting ~transitions:!transitions ()
 
-let limit ?budget n = limit_of_dfa (Dfa.determinize ?budget n)
+(* An ε-free, all-final NFA accepts a prefix-closed language, and by
+   König's lemma an ω-word all of whose prefixes have runs has an infinite
+   run: its limit is the NFA itself with every state accepting. Reading it
+   so is linear, like [accepting_lasso], and is charged as one bulk pass. *)
+let limit ?(budget = Rl_engine_kernel.Budget.unlimited) n =
+  if Nfa.has_eps n || not (Nfa.all_states_final n) then
+    limit_of_dfa (Dfa.determinize ~budget n)
+  else begin
+    Rl_engine_kernel.Budget.charge budget (Nfa.states n);
+    of_transition_system n
+  end
 
 let of_lasso alphabet x =
   let stem = Lasso.stem x and cycle = Lasso.cycle x in

@@ -35,8 +35,18 @@ val of_transition_system : Nfa.t -> t
     (correct because DFA runs are unique). *)
 val limit_of_dfa : Dfa.t -> t
 
-(** [limit ?budget n] accepts [lim(L(n))] for an arbitrary NFA [n]
-    (via determinization, which is where [budget] is spent). *)
+(** [limit ?budget n] accepts [lim(L(n))] for an arbitrary NFA [n].
+
+    When [n] is ε-free and every state is final, [L(n)] is prefix-closed,
+    and by König's lemma an ω-word all of whose prefixes have runs of [n]
+    has an infinite run: [lim(L(n))] is then [n] itself with every state
+    accepting ({!of_transition_system}), read in linear time and charged
+    [Nfa.states n] once. Dead-end and unreachable states carry no infinite
+    run, so they need no trimming, and a 0-state [n] gives the 0-state
+    automaton. Otherwise [n] is determinized ({!limit_of_dfa}), which is
+    where [budget] is spent. Only the determinized closure is
+    deterministic: a caller that complements the closure calls
+    [limit_of_dfa (Dfa.determinize n)] itself. *)
 val limit : ?budget:Rl_engine_kernel.Budget.t -> Nfa.t -> t
 
 (** [of_lasso alphabet x] accepts exactly the singleton ω-language [{x}]. *)

@@ -1,9 +1,10 @@
 open Rl_sigma
 open Rl_automata
 
-let is_safety = Omega_lang.is_limit_closed
+let is_safety ?budget ?max_states b =
+  Omega_lang.is_limit_closed ?budget ?max_states b
 
-let is_liveness ?(reduce = true) b =
+let is_liveness ?budget ?(reduce = true) b =
   (* pre(L) = Σ*: every word extends to a behavior — an antichain
      inclusion of the one-state Σ* automaton in the prefix NFA, with no
      determinization. [reduce] shrinks the property by its simulation
@@ -21,7 +22,7 @@ let is_liveness ?(reduce = true) b =
       ()
   in
   let subsumption = if reduce then `Simulation else `Subset in
-  match Inclusion.included ~subsumption sigma_star pre with
+  match Inclusion.included ?budget ~subsumption sigma_star pre with
   | Ok () -> true
   | Error _ -> false
 

@@ -10,18 +10,23 @@
 
 open Rl_sigma
 
-(** [is_safety b] — [L(b)] is a safety property: it equals its topological
-    closure [lim(pre(L))] (equivalently: every violation has an
-    irrecoverable finite prefix). *)
-val is_safety : Buchi.t -> bool
+(** [is_safety ?budget ?max_states b] — [L(b)] is a safety property: it
+    equals its topological closure [lim(pre(L))] (equivalently: every
+    violation has an irrecoverable finite prefix). Decided by
+    {!Omega_lang.is_limit_closed}, whose Kupferman–Vardi complementation of
+    [b] ticks [budget] and aborts with {!Complement.Too_large} past
+    [max_states]. *)
+val is_safety :
+  ?budget:Rl_engine_kernel.Budget.t -> ?max_states:int -> Buchi.t -> bool
 
-(** [is_liveness b] — [L(b)] is a liveness property:
+(** [is_liveness ?budget b] — [L(b)] is a liveness property:
     [pre(L(b)) = Σ*] (every finite word can be extended into [L(b)]).
-    [reduce] (default
+    [budget] is ticked by the antichain inclusion. [reduce] (default
     [true]) shrinks [b] and its prefix NFA by their cached simulation
     quotients and prunes the antichain by simulation subsumption — the
     verdict is reduction-invariant. *)
-val is_liveness : ?reduce:bool -> Buchi.t -> bool
+val is_liveness :
+  ?budget:Rl_engine_kernel.Budget.t -> ?reduce:bool -> Buchi.t -> bool
 
 (** [universal_buchi alphabet] accepts [Σ^ω]. *)
 val universal_buchi : Alphabet.t -> Buchi.t

@@ -345,6 +345,53 @@ let prop_limit_matches_oracle =
       return (d, x))
     (fun (d, x) -> Buchi.member (Buchi.limit_of_dfa d) x = limit_oracle d x)
 
+(* A random ε-free NFA whose states are all final, as [Buchi.limit] reads
+   directly: 0-6 states, at most two edges per state on average, so dead
+   ends and unreachable states are common; 0 states gives the empty
+   NFA. *)
+let gen_all_final_nfa =
+  QCheck2.Gen.(
+    let* states = 0 -- 6 in
+    if states = 0 then
+      return
+        (Nfa.create ~alphabet:ab ~states:0 ~initial:[] ~finals:[]
+           ~transitions:[] ())
+    else
+      let q = 0 -- (states - 1) in
+      let* initial = list_size (1 -- 2) q in
+      let+ transitions = list_size (0 -- (2 * states)) (triple q (0 -- 1) q) in
+      Nfa.create ~alphabet:ab ~states ~initial:(List.sort_uniq compare initial)
+        ~finals:(List.init states Fun.id)
+        ~transitions ())
+
+(* every lasso over {a, b} with a stem of at most 2 letters and a cycle
+   of 1 to 3 *)
+let small_lassos =
+  let rec words n =
+    if n = 0 then [ [] ]
+    else List.concat_map (fun w -> [ 0 :: w; 1 :: w ]) (words (n - 1))
+  in
+  let upto lo hi = List.concat_map words (List.init (hi - lo + 1) (( + ) lo)) in
+  List.concat_map
+    (fun s ->
+      List.map
+        (fun c -> Lasso.make (Word.of_list s) (Word.of_list c))
+        (upto 1 3))
+    (upto 0 2)
+
+let prop_limit_direct_reading =
+  QCheck2.Test.make
+    ~name:"limit of an all-final NFA = limit_of_dfa of its determinization"
+    ~count:500 ~long_factor:20 ~print:(Format.asprintf "%a" Nfa.pp)
+    gen_all_final_nfa
+    (fun n ->
+      let direct = Buchi.limit n in
+      let via_dfa = Buchi.limit_of_dfa (Dfa.determinize n) in
+      Buchi.states direct = Nfa.states n
+      && List.for_all
+           (fun x -> Buchi.member direct x = Buchi.member via_dfa x)
+           small_lassos)
+
 let prop_transition_system_limit_closed =
   QCheck2.Test.make ~name:"transition systems are limit closed" ~count:40
     QCheck2.Gen.(pair (0 -- 1_000_000) (1 -- 4))
@@ -424,6 +471,7 @@ let qsuite =
       prop_complement_partition;
       prop_complement_disjoint;
       prop_limit_matches_oracle;
+      prop_limit_direct_reading;
       prop_transition_system_limit_closed;
       prop_pre_language_correct;
     ]
