@@ -425,12 +425,13 @@ let run_decompose path formula_src max_states timeout bound jobs no_lint =
           f)
   in
   Format.printf "property automaton: %d states@." (Buchi.states b);
-  (* the three per-property checks are independent: fan them out. Each
-     thunk hands back its exception (Complement.Too_large, exhaustion of
-     the clock) as a value, so a pool never abandons the other legs, and
-     the first failing leg in print order decides the exit code
-     (Error.of_exn maps both to 4) after the lines before it are
-     printed, whatever the pool size. *)
+  (* the three per-property checks are independent. Under a pool they
+     are fanned out, and each thunk hands back its exception
+     (Complement.Too_large, exhaustion of the clock) as a value, so the
+     pool never abandons the other legs; serially each leg is printed
+     before the next one runs. Either way the first failing leg in print
+     order decides the exit code (Error.of_exn maps both to 4) after the
+     lines before it are printed, and no leg after it is printed. *)
   let leg check () = match check () with v -> Ok v | exception e -> Error e in
   let checks =
     [
@@ -440,23 +441,20 @@ let run_decompose path formula_src max_states timeout bound jobs no_lint =
           `Decomposition (Classify.decompose ~budget:clock ?max_states b));
     ]
   in
-  let results =
-    match pool with
-    | Some p when Pool.size p > 1 -> Pool.parfan p checks
-    | _ -> List.map (fun check -> check ()) checks
+  let print = function
+    | Error e -> raise e
+    | Ok (`Safety safety) -> Format.printf "safety property: %b@." safety
+    | Ok (`Liveness liveness) ->
+        Format.printf "liveness property: %b@." liveness
+    | Ok (`Decomposition (s, l)) ->
+        Format.printf
+          "decomposition (Alpern–Schneider): safety closure %d states, \
+           liveness part %d states@."
+          (Buchi.states s) (Buchi.states l)
   in
-  List.iter
-    (function
-      | Error e -> raise e
-      | Ok (`Safety safety) -> Format.printf "safety property: %b@." safety
-      | Ok (`Liveness liveness) ->
-          Format.printf "liveness property: %b@." liveness
-      | Ok (`Decomposition (s, l)) ->
-          Format.printf
-            "decomposition (Alpern–Schneider): safety closure %d states, \
-             liveness part %d states@."
-            (Buchi.states s) (Buchi.states l))
-    results;
+  (match pool with
+  | Some p when Pool.size p > 1 -> List.iter print (Pool.parfan p checks)
+  | _ -> List.iter (fun check -> print (check ())) checks);
   Ok ()
 
 let decompose_cmd =

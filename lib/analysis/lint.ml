@@ -303,17 +303,13 @@ let run_alphabet_mismatch i =
 
 (* --- fairness passes --- *)
 
-(* A reachable feasible component settles the question in one SCC pass;
-   only without one does the exact Streett search run. *)
+(* a strongly fair run exists iff some component is feasible, so one SCC
+   pass decides it *)
 let run_fairness ctx =
   match nonempty_behavior ctx with
   | None -> []
-  | Some v ->
-      let g = Lazy.force ctx.graph in
-      let rec some_feasible k =
-        k < g.scc.Scc.count && (feasible g k || some_feasible (k + 1))
-      in
-      if some_feasible 0 || Rl_fair.Streett.fair_run_exists v.buchi then []
+  | Some _ ->
+      if feasible_components (Lazy.force ctx.graph) <> [] then []
       else
         [
           Diagnostic.make ?file:ctx.input.file ~code:"RL201" ~severity:Warning

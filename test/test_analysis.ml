@@ -388,49 +388,6 @@ let prop_generated_ts_clean =
       (not (has "RL101" ds || has "RL102" ds))
       && has "RL103" ds = Rl_buchi.Buchi.is_empty b)
 
-(* RL201 first looks for a reachable, closed, cycle-bearing component (a
-   strongly fair run reaches it and tours its edges round-robin) and runs
-   the Streett search only when there is none. Its answer must be the
-   search's alone. Three shapes: unconstrained all-final NFAs, where
-   cycles with exits and dead ends are common; cycles whose every state
-   also steps into one dead-end state, so the only sink is trivial (no
-   self-loop) and no fair run exists; and deadlock-free generated
-   systems, where a fair run always exists. *)
-let gen_fairness_system =
-  let all_final states ~initial transitions =
-    Nfa.create ~alphabet:ab ~states ~initial
-      ~finals:(List.init states Fun.id)
-      ~transitions ()
-  in
-  QCheck2.Gen.(
-    let* seed = 0 -- 1_000_000 in
-    let* states = 1 -- 8 in
-    let rng = Helpers.mk_rng seed in
-    oneofl
-      [
-        (let n = Gen.nfa rng ~alphabet:ab ~states ~density:0.3 ~final_prob:1. in
-         all_final states ~initial:(Nfa.initial n) (Nfa.transitions n));
-        (let n = Gen.nfa rng ~alphabet:ab ~states ~density:0.4 ~final_prob:1. in
-         let sink = states in
-         all_final (states + 1) ~initial:(Nfa.initial n)
-           (List.init states (fun q -> (q, q mod 2, sink))
-           @ Nfa.transitions n));
-        Gen.transition_system rng ~alphabet:ab ~states ~branching:1.4;
-      ])
-
-let prop_rl201_matches_streett =
-  QCheck2.Test.make
-    ~name:"RL201 fires iff Streett.fair_run_exists denies a fair run"
-    ~count:1000 ~long_factor:20
-    ~print:(Format.asprintf "%a" Nfa.pp)
-    gen_fairness_system
-    (fun ts ->
-      let ds = Lint.run ~deep:false { Lint.empty with system = Some ts } in
-      let b = Rl_buchi.Buchi.of_transition_system ts in
-      has "RL201" ds
-      = ((not (Rl_buchi.Buchi.is_empty b))
-        && not (Rl_fair.Streett.fair_run_exists b)))
-
 (* --- a minimal JSON parser, enough to round-trip the reports --- *)
 
 module Json = struct
@@ -713,12 +670,7 @@ let test_registry () =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [
-      prop_unreachable_agrees;
-      prop_generated_ts_clean;
-      prop_rl201_matches_streett;
-      prop_reports_parse;
-    ]
+    [ prop_unreachable_agrees; prop_generated_ts_clean; prop_reports_parse ]
 
 let () =
   Alcotest.run "analysis"

@@ -118,32 +118,56 @@ let test_scc_self_loops () =
 
 (* --- the RL5xx passes vs the exact algorithms --- *)
 
-(* RL503 is an exact characterization, not an approximation: a strongly
-   fair run exists iff some reachable closed component bears a cycle.
-   Deadlock-free generated systems always have one (a sink component of
-   the condensation must cycle), so draw from unconstrained all-final
-   NFAs, where every cycle having an exit edge is common. *)
-let all_final n =
-  Nfa.create ~alphabet:(Nfa.alphabet n) ~states:(Nfa.states n)
-    ~initial:(Nfa.initial n)
-    ~finals:(List.init (Nfa.states n) Fun.id)
-    ~transitions:(Nfa.transitions n) ()
+(* RL201 and RL503 are exact, not approximations: a strongly fair run
+   exists iff some reachable closed component bears a cycle, and both
+   passes fire iff there is none (RL201 in the shallow pre-flight, RL503
+   per component in the deep one). Three shapes: unconstrained all-final
+   NFAs, where cycles with an exit edge and dead ends are common; cycles
+   whose every state also steps into one dead-end state, so the only sink
+   is trivial (no self-loop) and no fair run exists; and deadlock-free
+   generated systems, where a sink component of the condensation must
+   cycle, so a fair run always exists. *)
+let all_final ?(extra = 0) ?(transitions = []) n =
+  let states = Nfa.states n + extra in
+  Nfa.create ~alphabet:(Nfa.alphabet n) ~states ~initial:(Nfa.initial n)
+    ~finals:(List.init states Fun.id)
+    ~transitions:(transitions @ Nfa.transitions n)
+    ()
+
+let gen_fairness_system =
+  QCheck2.Gen.(
+    let* seed = 0 -- 1_000_000 in
+    let* states = 1 -- 8 in
+    let rng = Helpers.mk_rng seed in
+    oneofl
+      [
+        all_final (Gen.nfa rng ~alphabet:ab ~states ~density:0.3 ~final_prob:1.);
+        (let sink = states in
+         all_final ~extra:1
+           ~transitions:(List.init states (fun q -> (q, q mod 2, sink)))
+           (Gen.nfa rng ~alphabet:ab ~states ~density:0.4 ~final_prob:1.));
+        Gen.transition_system rng ~alphabet:ab ~states ~branching:1.4;
+      ])
 
 let prop_rl503_exact =
   QCheck2.Test.make
-    ~name:"RL503 fires iff Streett.fair_run_exists denies a fair run"
-    ~count:300
-    QCheck2.Gen.(pair (0 -- 1_000_000) (1 -- 7))
-    (fun (seed, states) ->
-      let ts =
-        all_final
-          (Gen.nfa (Helpers.mk_rng seed) ~alphabet:ab ~states ~density:0.3
-             ~final_prob:1.0)
-      in
-      let ds = Lint.run { Lint.empty with system = Some ts } in
+    ~name:
+      "RL503 fires iff Streett.fair_run_exists denies a fair run, and so \
+       does RL201"
+    ~count:1000 ~long_factor:20
+    ~print:(Format.asprintf "%a" Nfa.pp)
+    gen_fairness_system
+    (fun ts ->
       let b = Rl_buchi.Buchi.of_transition_system ts in
-      if Rl_buchi.Buchi.is_empty b then not (has "RL503" ds)
-      else has "RL503" ds = not (Rl_fair.Streett.fair_run_exists b))
+      let unfair =
+        (not (Rl_buchi.Buchi.is_empty b))
+        && not (Rl_fair.Streett.fair_run_exists b)
+      in
+      let deep = Lint.run { Lint.empty with system = Some ts } in
+      let shallow = Lint.run ~deep:false { Lint.empty with system = Some ts } in
+      has "RL503" deep = unfair
+      && has "RL201" deep = unfair
+      && has "RL201" shallow = unfair)
 
 let keep_of_mask mask =
   List.filteri (fun i _ -> mask land (1 lsl i) <> 0) [ "a"; "b"; "c" ]
