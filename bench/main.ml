@@ -546,9 +546,6 @@ let bench_tests () =
         let b = Buchi.of_transition_system ts in
         [
           Test.make
-            ~name:(Printf.sprintf "bisim-quotient/states=%03d" n)
-            (Staged.stage (fun () -> ignore (Bisim.quotient ts)));
-          Test.make
             ~name:(Printf.sprintf "simulation-quotient/states=%03d" n)
             (Staged.stage (fun () -> ignore (Rl_buchi.Reduce.quotient b)));
         ])
@@ -636,15 +633,13 @@ let count n = J.Num (float_of_int n)
 (* an unmeasured figure (nan, or a ratio over a zero time) is null *)
 let num f = if Float.is_finite f then J.Num f else J.Null
 
-(* Every report carries the same host block: wall-clock and speedup
-   figures are meaningless without knowing how many cores produced them. *)
-let host_cores = Domain.recommended_domain_count ()
-
+(* Every report carries the same host block; every check runs on one
+   domain, so the host's core count explains no figure and is not
+   recorded. *)
 let write_report section fields =
   let host =
     J.Obj
       [
-        ("cores", count host_cores);
         ("os", J.Str Sys.os_type);
         ("ocaml", J.Str Sys.ocaml_version);
         ("word_size", count Sys.word_size);

@@ -37,7 +37,6 @@ open Rl_core
 module Budget = Rl_engine.Budget
 module Error = Rl_engine.Error
 module Certify = Rl_engine.Certify
-module Pool = Rl_engine.Pool
 module Stats = Rl_engine.Stats
 module Diagnostic = Rl_analysis.Diagnostic
 module Lint = Rl_analysis.Lint
@@ -118,21 +117,11 @@ let timeout_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for independent sub-checks. The default 1 runs \
-     serially; $(docv) > 1 spawns $(docv) - 1 worker domains, whatever the \
-     host's core count, to fan out the independent checks of \
-     $(b,decompose); 0 means one domain per available core. Verdicts, \
-     witnesses and exit codes are identical for every value (serial \
-     phases, and every other subcommand, ignore the pool)."
+    "Accepted for compatibility and ignored: every check runs on one \
+     domain, so output and exit code are the same for every $(docv)."
   in
   let env = Cmd.Env.info "RLCHECK_JOBS" ~doc:"Default value for $(b,--jobs)." in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc ~env)
-
-(* Only [decompose] fans out; a serial run gets no pool at all, so
-   --jobs 1 spawns no domain. Exits inside the body bypass the shutdown;
-   process termination reaps the domains. *)
-let with_jobs jobs f =
-  if jobs = 1 then f None else Pool.with_pool ~jobs (fun p -> f (Some p))
 
 let bound_arg =
   let doc =
@@ -406,17 +395,12 @@ let simple_cmd =
 
 (* --- decompose: safety/liveness classification --- *)
 
-let run_decompose path formula_src max_states timeout bound jobs no_lint =
+let run_decompose path formula_src max_states timeout bound _jobs no_lint =
   guarded @@ fun () ->
-  with_jobs jobs @@ fun pool ->
   let* f = parse_formula formula_src in
   let* ts = load_and_lint ?bound ~formula:f ~no_lint path in
   let alpha = Nfa.alphabet ts in
   let budget = Budget.create ?max_states ?timeout () in
-  (* the legs share the wall clock only: a state count shared across
-     legs running side by side would make the tripping leg depend on the
-     interleaving. Each Kupferman–Vardi complementation (one in the safety
-     leg, one in the decompose leg) is capped by --max-states on its own. *)
   let clock = Budget.create ?timeout () in
   let b =
     Budget.with_phase budget "translate property" (fun () ->
@@ -425,36 +409,25 @@ let run_decompose path formula_src max_states timeout bound jobs no_lint =
           f)
   in
   Format.printf "property automaton: %d states@." (Buchi.states b);
-  (* the three per-property checks are independent. Under a pool they
-     are fanned out, and each thunk hands back its exception
-     (Complement.Too_large, exhaustion of the clock) as a value, so the
-     pool never abandons the other legs; serially each leg is printed
-     before the next one runs. Either way the first failing leg in print
-     order decides the exit code (Error.of_exn maps both to 4) after the
-     lines before it are printed, and no leg after it is printed. *)
-  let leg check () = match check () with v -> Ok v | exception e -> Error e in
-  let checks =
-    [
-      leg (fun () -> `Safety (Classify.is_safety ~budget:clock ?max_states b));
-      leg (fun () -> `Liveness (Classify.is_liveness ~budget:clock b));
-      leg (fun () ->
-          `Decomposition (Classify.decompose ~budget:clock ?max_states b));
-    ]
+  (* Each leg is printed before the next one runs, so a leg that gives
+     up (exit 4) leaves the lines before it printed and none after it.
+     Safety is relative safety over Σ^ω (Remark 1), decided like rs from
+     the tableau's ¬φ under the command's budget. The other two legs
+     share only its wall clock; the Kupferman–Vardi complementation of
+     the decomposition is capped by --max-states on its own. *)
+  let safety =
+    Relative.is_relative_safety ~budget
+      ~system:(Classify.universal_buchi alpha)
+      (Relative.ltl alpha f)
   in
-  let print = function
-    | Error e -> raise e
-    | Ok (`Safety safety) -> Format.printf "safety property: %b@." safety
-    | Ok (`Liveness liveness) ->
-        Format.printf "liveness property: %b@." liveness
-    | Ok (`Decomposition (s, l)) ->
-        Format.printf
-          "decomposition (Alpern–Schneider): safety closure %d states, \
-           liveness part %d states@."
-          (Buchi.states s) (Buchi.states l)
-  in
-  (match pool with
-  | Some p when Pool.size p > 1 -> List.iter print (Pool.parfan p checks)
-  | _ -> List.iter (fun check -> print (check ())) checks);
+  Format.printf "safety property: %b@." (Result.is_ok safety);
+  Format.printf "liveness property: %b@."
+    (Classify.is_liveness ~budget:clock b);
+  let s, l = Classify.decompose ~budget:clock ?max_states b in
+  Format.printf
+    "decomposition (Alpern–Schneider): safety closure %d states, liveness \
+     part %d states@."
+    (Buchi.states s) (Buchi.states l);
   Ok ()
 
 let decompose_cmd =
@@ -783,8 +756,7 @@ let main =
    [~catch:false] lets exceptions out of cmdliner so the contract above
    is kept even for defects guarded code did not anticipate. *)
 let () =
-  (* engine GC defaults (or the RLCHECK_GC override) for the main domain;
-     Pool workers apply the same tuning when they spawn *)
+  (* engine GC defaults, or the RLCHECK_GC override *)
   Stats.gc_tune ();
   match Cmd.eval ~catch:false main with
   (* cmdliner reports its own CLI-parsing errors with 124; fold them

@@ -56,6 +56,8 @@ type context = {
   behavior : behavior option Lazy.t;
       (* [None] unless the system is a non-empty, ε-free NFA whose
          states are all final *)
+  simplicity : bool option Lazy.t;  (* [static_simplicity input] *)
+  no_maximal : bool option Lazy.t;  (* [static_no_maximal input] *)
 }
 
 type pass = {
@@ -117,37 +119,6 @@ let ts_buchi sys =
   else Some (Buchi.of_transition_system sys)
 
 let reach_of sys = Dataflow.reachable (Nfa.csr sys) ~init:(Nfa.initial sys)
-
-let context input =
-  let graph =
-    lazy
-      (let sys =
-         match input.system with
-         | Some sys -> sys
-         | None -> invalid_arg "Lint: no system to analyse"
-       in
-       let reach = reach_of sys and scc = Scc.of_csr (Nfa.csr sys) in
-       (* a component is strongly connected: one reachable member makes
-          all of them reachable *)
-       let reached = Array.make scc.Scc.count false in
-       Bitset.iter (fun q -> reached.(scc.Scc.comp.(q)) <- true) reach;
-       { reach; scc; reached })
-  in
-  let behavior =
-    lazy
-      (match input.system with
-      | None -> None
-      | Some sys ->
-          Option.map
-            (fun buchi ->
-              let live = Buchi.live buchi in
-              let empty =
-                not (List.exists (Bitset.mem live) (Buchi.initial buchi))
-              in
-              { buchi; live; empty })
-            (ts_buchi sys))
-  in
-  { input; graph; behavior }
 
 (* the behavior of a system whose [Lω] is not empty *)
 let nonempty_behavior ctx =
@@ -832,9 +803,49 @@ let static_no_maximal i =
           reach;
         Some !acyclic
 
+(* the shared analysis of one input; the deep abstraction passes read
+   [simplicity] and [no_maximal] in pairs (RL403/RL504, RL404/RL506) *)
+let context input =
+  let graph =
+    lazy
+      (let sys =
+         match input.system with
+         | Some sys -> sys
+         | None -> invalid_arg "Lint: no system to analyse"
+       in
+       let reach = reach_of sys and scc = Scc.of_csr (Nfa.csr sys) in
+       (* a component is strongly connected: one reachable member makes
+          all of them reachable *)
+       let reached = Array.make scc.Scc.count false in
+       Bitset.iter (fun q -> reached.(scc.Scc.comp.(q)) <- true) reach;
+       { reach; scc; reached })
+  in
+  let behavior =
+    lazy
+      (match input.system with
+      | None -> None
+      | Some sys ->
+          Option.map
+            (fun buchi ->
+              let live = Buchi.live buchi in
+              let empty =
+                not (List.exists (Bitset.mem live) (Buchi.initial buchi))
+              in
+              { buchi; live; empty })
+            (ts_buchi sys))
+  in
+  {
+    input;
+    graph;
+    behavior;
+    simplicity = lazy (static_simplicity input);
+    no_maximal = lazy (static_no_maximal input);
+  }
+
 (* [RL504] the positive form: simplicity proved without the search *)
-let run_static_simplicity i =
-  match static_simplicity i with
+let run_static_simplicity ctx =
+  let i = ctx.input in
+  match Lazy.force ctx.simplicity with
   | Some true ->
       [
         Diagnostic.make ?file:i.file ~code:"RL504" ~severity:Hint
@@ -846,8 +857,9 @@ let run_static_simplicity i =
   | _ -> []
 
 (* [RL506] the positive form: no maximal words, proved statically *)
-let run_static_maximal_words i =
-  match static_no_maximal i with
+let run_static_maximal_words ctx =
+  let i = ctx.input in
+  match Lazy.force ctx.no_maximal with
   | Some true ->
       [
         Diagnostic.make ?file:i.file ~code:"RL506" ~severity:Hint
@@ -857,8 +869,9 @@ let run_static_maximal_words i =
       ]
   | _ -> []
 
-let run_simplicity i =
-  if static_simplicity i = Some true then []
+let run_simplicity ctx =
+  let i = ctx.input in
+  if Lazy.force ctx.simplicity = Some true then []
   else
     match hiding_hom i with
     | None -> []
@@ -878,8 +891,9 @@ let run_simplicity i =
               in
               [ not_simple_hint ?file:i.file ?witness () ])
 
-let run_maximal_words i =
-  if static_no_maximal i = Some true then []
+let run_maximal_words ctx =
+  let i = ctx.input in
+  if Lazy.force ctx.no_maximal = Some true then []
   else
     match hiding_hom i with
     | None -> []
@@ -954,13 +968,13 @@ let passes =
       name = "simplicity";
       codes = [ "RL403" ];
       deep = true;
-      run = on_input run_simplicity;
+      run = run_simplicity;
     };
     {
       name = "maximal-words";
       codes = [ "RL404" ];
       deep = true;
-      run = on_input run_maximal_words;
+      run = run_maximal_words;
     };
     {
       name = "dead-transitions";
@@ -984,7 +998,7 @@ let passes =
       name = "static-simplicity";
       codes = [ "RL504" ];
       deep = true;
-      run = on_input run_static_simplicity;
+      run = run_static_simplicity;
     };
     {
       name = "fair-atom-vacuity";
@@ -996,7 +1010,7 @@ let passes =
       name = "static-maximal-words";
       codes = [ "RL506" ];
       deep = true;
-      run = on_input run_static_maximal_words;
+      run = run_static_maximal_words;
     };
   ]
 

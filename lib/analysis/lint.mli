@@ -72,7 +72,9 @@ val empty : input
 
 (** What a pass sees: the {!input}, and the system analysis that
     several passes share — the system's Büchi view with its live states
-    and emptiness, its reachable states and its components. {!run}
+    and emptiness, its reachable states and its components, and the
+    static simplicity and maximal-word answers that two passes each
+    read. {!run}
     builds one context per input and computes each part on first use,
     at most once. *)
 type context

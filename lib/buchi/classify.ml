@@ -1,8 +1,7 @@
 open Rl_sigma
 open Rl_automata
 
-let is_safety ?budget ?max_states b =
-  Omega_lang.is_limit_closed ?budget ?max_states b
+let is_safety b = Omega_lang.is_limit_closed b
 
 let is_liveness ?budget ?(reduce = true) b =
   (* pre(L) = Σ*: every word extends to a behavior — an antichain

@@ -6,18 +6,18 @@
     This module provides the absolute side of that remark — used by the
     test suite to cross-validate the relative deciders — together with the
     classical decomposition of an arbitrary property into a safety and a
-    liveness part. *)
+    liveness part. [rlcheck decompose] decides safety of an LTL property
+    as relative safety over {!universal_buchi}, which needs no
+    complementation; {!is_safety} is its test reference. *)
 
 open Rl_sigma
 
-(** [is_safety ?budget ?max_states b] — [L(b)] is a safety property: it
-    equals its topological closure [lim(pre(L))] (equivalently: every
-    violation has an irrecoverable finite prefix). Decided by
-    {!Omega_lang.is_limit_closed}, whose Kupferman–Vardi complementation of
-    [b] ticks [budget] and aborts with {!Complement.Too_large} past
-    [max_states]. *)
-val is_safety :
-  ?budget:Rl_engine_kernel.Budget.t -> ?max_states:int -> Buchi.t -> bool
+(** [is_safety b] — [L(b)] is a safety property: it equals its
+    topological closure [lim(pre(L))] (equivalently: every violation has
+    an irrecoverable finite prefix). Decided by
+    {!Omega_lang.is_limit_closed}, through a Kupferman–Vardi
+    complementation of [b], so it is meant for small automata. *)
+val is_safety : Buchi.t -> bool
 
 (** [is_liveness ?budget b] — [L(b)] is a liveness property:
     [pre(L(b)) = Σ*] (every finite word can be extended into [L(b)]).

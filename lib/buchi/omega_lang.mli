@@ -9,30 +9,20 @@
 
 open Rl_sigma
 
-(** [included ?budget ?max_states a b] decides [L(a) ⊆ L(b)]; on failure
-    returns an ultimately periodic witness in [L(a) \ L(b)]. [budget] is
-    ticked by the complementation and the product; [max_states] caps the
-    complementation as in {!Complement.complement}.
-    @raise Rl_engine_kernel.Budget.Exhausted when [budget] runs out.
-    @raise Complement.Too_large when [max_states] is exceeded. *)
-val included :
-  ?budget:Rl_engine_kernel.Budget.t ->
-  ?max_states:int ->
-  Buchi.t ->
-  Buchi.t ->
-  (unit, Lasso.t) result
+(** [included a b] decides [L(a) ⊆ L(b)]; on failure returns an
+    ultimately periodic witness in [L(a) \ L(b)]. *)
+val included : Buchi.t -> Buchi.t -> (unit, Lasso.t) result
 
 (** [equivalent a b] decides [L(a) = L(b)]; on failure returns a witness in
     the symmetric difference. *)
 val equivalent : Buchi.t -> Buchi.t -> (unit, Lasso.t) result
 
-(** [is_limit_closed ?budget ?max_states b] decides whether
+(** [is_limit_closed b] decides whether
     [L(b) = lim(pre(L(b)))] — the paper's "limit closed" condition of
     Theorem 5.1 (satisfied by behavior sets of finite-state systems without
     acceptance conditions). It is the inclusion [lim(pre(L(b))) ⊆ L(b)],
-    which complements [b]; the limits are those of {!included}. *)
-val is_limit_closed :
-  ?budget:Rl_engine_kernel.Budget.t -> ?max_states:int -> Buchi.t -> bool
+    which complements [b]. *)
+val is_limit_closed : Buchi.t -> bool
 
 (** [safety_closure b] is a Büchi automaton for [lim(pre(L(b)))], the
     smallest limit-closed (topologically closed within [Σ^ω]) superset of

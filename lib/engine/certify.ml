@@ -75,30 +75,13 @@ let extension ~system p ~prefix x =
 
 type triple = { sat : bool; rl : bool; rs : bool }
 
-(* The three legs of a Theorem 4.7 full verdict are independent checks on
-   the same inputs; with [?pool] they fan out across its domains
-   ([Pool.parfan]), each leg running its own inner phases serially (nested
-   parallel regions fall back to inline execution). The phase labels on a
-   shared budget are the only thing the legs race on — verdicts and the
-   exhausted-or-not outcome stay deterministic because each leg's work is
-   itself deterministic. *)
-let verdict_triple ?budget ?pool ~system p =
-  let legs =
-    [
-      (fun () -> Result.is_ok (Relative.satisfies ?budget ~system p));
-      (fun () -> Result.is_ok (Relative.is_relative_liveness ?budget ~system p));
-      (fun () ->
-        Result.is_ok (Relative.is_relative_safety ?budget ~system p));
-    ]
-  in
-  match
-    match pool with
-    | Some p when Rl_engine_kernel.Pool.size p > 1 ->
-        Rl_engine_kernel.Pool.parfan p legs
-    | _ -> List.map (fun leg -> leg ()) legs
-  with
-  | [ sat; rl; rs ] -> { sat; rl; rs }
-  | _ -> assert false
+(* The three legs of a Theorem 4.7 full verdict, run in turn on one
+   budget. *)
+let verdict_triple ?budget ~system p =
+  let sat = Result.is_ok (Relative.satisfies ?budget ~system p) in
+  let rl = Result.is_ok (Relative.is_relative_liveness ?budget ~system p) in
+  let rs = Result.is_ok (Relative.is_relative_safety ?budget ~system p) in
+  { sat; rl; rs }
 
 let consistent t = t.sat = (t.rl && t.rs)
 

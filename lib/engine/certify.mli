@@ -85,11 +85,10 @@ val extension :
 
 type triple = { sat : bool; rl : bool; rs : bool }
 
-(** [verdict_triple ?budget ?pool ~system p] runs all three deciders;
-    with a pool of size > 1 the three legs run on separate domains. *)
+(** [verdict_triple ?budget ~system p] runs all three deciders in turn:
+    [sat], then [rl], then [rs]. *)
 val verdict_triple :
   ?budget:Rl_engine_kernel.Budget.t ->
-  ?pool:Rl_engine_kernel.Pool.t ->
   system:Buchi.t ->
   Relative.property ->
   triple

@@ -14,18 +14,13 @@
     the state count is global across phases, which is what a caller who
     asked for "at most [n] states of work" means.
 
-    Budgets are domain-safe: the state counter is an [Atomic], so several
-    domains of a {!Rl_engine_kernel.Pool} may tick one budget concurrently
-    and [--max-states] still bounds the {e total} cross-domain work. Only
-    the call that carries the counter across the state limit publishes
-    the {!exhaustion} record. When the crossing call is a {!tick} the
-    record reads [limit + 1] whatever the interleaving; when it is a
-    {!charge} it reads that call's total, which may depend on which
-    domain crossed first. Every other call past the limit, on any domain,
-    re-raises that same record, which cancels parallel workers promptly.
-    A negative limit is crossed by the first call.
-    Phase labels ({!set_phase}/{!with_phase}) are not synchronized — they
-    must be changed from the coordinating domain only. *)
+    One thread ticks a budget. The call that carries the state counter
+    across the limit raises {!Exhausted}; when it is a {!tick} the record
+    reads [limit + 1], when it is a {!charge} it reads that call's total.
+    Every later call re-raises that same record. A negative limit is
+    crossed by the first call. The one cross-thread operation is
+    {!cancel}: the service watchdog publishes a record through an
+    [Atomic] that the checking thread's next {!tick} or {!poll} raises. *)
 
 type t
 
@@ -62,19 +57,20 @@ val tick : t -> unit
 val charge : t -> int -> unit
 
 (** [poll b] does no accounting but notices a limit hit elsewhere: it
-    re-raises a published exhaustion and occasionally polls the deadline.
-    Worker domains call it at task boundaries so a budget tripped on one
-    domain stops the others promptly.
+    re-raises a published exhaustion (a watchdog's {!cancel}) and
+    occasionally polls the deadline. Loops that do work without
+    exploring fresh states call it, so a cancelled check stops promptly.
     @raise Exhausted if the budget is already exhausted. *)
 val poll : t -> unit
 
-(** [cancelled b] — some domain has already exhausted [b] (no raise). *)
+(** [cancelled b] — [b] is already exhausted, by a limit or by {!cancel}
+    (no raise). *)
 val cancelled : t -> bool
 
 (** [cancel ?phase b resource] exhausts [b] from the outside: it
     publishes an exhaustion record (unless one is already published)
-    without raising on the calling domain, so every later {!tick} or
-    {!poll} on any domain raises {!Exhausted}. This is the
+    without raising on the calling thread, so every later {!tick} or
+    {!poll} raises {!Exhausted}. This is the
     service watchdog's lever: when a request blows its wall-clock
     deadline, the watchdog cancels its budget and the abandoned check
     unwinds at its next cooperative point. [phase] labels the record

@@ -1,21 +1,20 @@
 (* Deterministic fault injection: named points, seeded schedules.
 
-   Probes run on arbitrary domains (the pool-death probe runs on worker
-   domains), so the per-point state sits behind one mutex. That lock is taken only when a
-   schedule is armed — the disarmed fast path is a single read of
-   [armed_flag] — and chaos runs are exactly the runs where a little
-   extra synchronization is the point, not a problem.
+   Probes run on the daemon's threads, so the per-point state sits
+   behind one mutex. That lock is taken only when a schedule is armed —
+   the disarmed fast path is a single read of [armed_flag] — and chaos
+   runs are exactly the runs where a little extra synchronization is
+   the point, not a problem.
 
    Determinism: each point owns a split PRNG stream derived from the
    configured seed, advanced once per probe. The firing pattern for a
    point is therefore a function of (seed, rate, probe index) only;
    adding probe sites for one point cannot shift another point's
-   schedule. Under a multi-domain pool the *interleaving* of probes is
+   schedule. Across threads the *interleaving* of probes is
    scheduler-dependent, but the per-point decision sequence is not,
    which is what the chaos suites pin down. *)
 
 type point =
-  | Pool_domain_death
   | Cache_miss_storm
   | Malformed_input
   | Deadline_expiry
@@ -24,24 +23,21 @@ exception Injected of point
 
 let all =
   [
-    Pool_domain_death;
     Cache_miss_storm;
     Malformed_input;
     Deadline_expiry;
   ]
 
 let name = function
-  | Pool_domain_death -> "pool_domain_death"
   | Cache_miss_storm -> "cache_miss_storm"
   | Malformed_input -> "malformed_input"
   | Deadline_expiry -> "deadline_expiry"
 
 let of_name s = List.find_opt (fun p -> String.equal (name p) s) all
 let index p = match p with
-  | Pool_domain_death -> 0
-  | Cache_miss_storm -> 1
-  | Malformed_input -> 2
-  | Deadline_expiry -> 3
+  | Cache_miss_storm -> 0
+  | Malformed_input -> 1
+  | Deadline_expiry -> 2
 
 let npoints = List.length all
 

@@ -1,7 +1,7 @@
 (** Deterministic fault injection for the checking engine.
 
-    The robustness layer ({!Pool} worker restarts, the service
-    supervisor's deadlines, the bounded caches) exists to survive partial
+    The robustness layer (the service supervisor's deadlines, the bounded
+    caches, the typed input errors) exists to survive partial
     failure — but partial failure is rare in tests unless it is
     manufactured. This module names the failure modes the engine claims to
     survive and lets a chaos harness fire them on demand, {e
@@ -11,9 +11,6 @@
 
     {2 Injection points}
 
-    - {!Pool_domain_death} — a pool worker domain dies at the moment it
-      picks up a parallel region's job (probed in [Pool.worker_loop]).
-      Exercises the death-safe barrier, slot repair and {!Pool.heal}.
     - {!Cache_miss_storm} — a {!Simcache} lookup pretends the entry is
       absent and recomputes, simulating an evicted / cold cache under a
       hostile workload (probed in [Simcache.find_or_compute]).
@@ -29,7 +26,7 @@
     Faults are disarmed by default and cost one mutable-bool read on the
     probe fast path. They arm either from the [RLCHECK_FAULT] environment
     variable — a comma-separated list like
-    ["seed=42,pool_domain_death=0.2,cache_miss_storm=1.0"], each point
+    ["seed=42,malformed_input=0.2,cache_miss_storm=1.0"], each point
     given its firing probability in [0,1] — or programmatically with
     {!configure} (used by the chaos test suites). The schedule is a pure
     function of the seed and the per-point probe count; probes on
@@ -37,19 +34,18 @@
     probe site for one point does not shift another's schedule. *)
 
 type point =
-  | Pool_domain_death
   | Cache_miss_storm
   | Malformed_input
   | Deadline_expiry
 
 (** Raised by {!fire} when the point's schedule says the fault happens
     now. Probe sites translate it into the real failure they simulate
-    (e.g. the pool treats it as the death of the probing domain). *)
+    (e.g. the request layer treats it as a corrupted model source). *)
 exception Injected of point
 
 val all : point list
 
-(** The wire/env name of a point, e.g. ["pool_domain_death"]. *)
+(** The wire/env name of a point, e.g. ["cache_miss_storm"]. *)
 val name : point -> string
 
 val of_name : string -> point option
@@ -75,7 +71,7 @@ val reset : unit -> unit
 
 (** [should_fire p] advances [p]'s schedule by one probe and reports
     whether the fault fires now. Deterministic per configuration; safe to
-    call from any domain. Always [false] when disarmed. *)
+    call from any thread. Always [false] when disarmed. *)
 val should_fire : point -> bool
 
 (** [fire p] is [should_fire p] turned into control flow:

@@ -10,7 +10,7 @@
 
     Operations are O(1) (hash table + intrusive doubly-linked recency
     list). The structure is {e not} synchronized: callers that share an
-    instance across domains must guard it with their own lock, as
+    instance across threads must guard it with their own lock, as
     {!Simcache} does. *)
 
 type ('k, 'v) t

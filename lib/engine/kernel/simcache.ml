@@ -24,8 +24,7 @@
    never removed early: keys are content-addressed, so the fingerprints
    of an edited-away model simply stop being hit and age out.
 
-   A mutex guards the table: deciders running under [Pool] may race on
-   lookups. Entries are immutable once inserted, so readers outside the
+   A mutex guards the table: the daemon's threads may race on lookups. Entries are immutable once inserted, so readers outside the
    critical section can use a returned row array freely. *)
 
 type key = string

@@ -7,8 +7,8 @@
     fingerprinting and the translation to concrete automata live in
     [Rl_automata.Preorder].
 
-    The table is global and mutex-guarded (deciders running under [Pool]
-    may race on lookups), and it is {e bounded}: entries beyond the
+    The table is global and mutex-guarded (the daemon's threads may race
+    on lookups), and it is {e bounded}: entries beyond the
     capacity — default 512, overridable with the [RLCHECK_SIMCACHE_CAP]
     environment variable or {!set_capacity} ([<= 0] = unbounded) — are
     evicted least-recently-used, so a long-running daemon fed a hostile

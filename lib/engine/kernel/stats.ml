@@ -4,13 +4,12 @@
    atomic add per antichain event is noise next to the bitset work the
    event represents, so they stay on unconditionally and [--stats] is
    purely a reporting flag. GC behavior is measured as deltas of
-   [gc_sample] between two {!snapshot}s: it reads domain-local
-   accumulators and never forces a collection, so the probe itself is
-   cheap.
+   [gc_sample] between two {!snapshot}s: it never forces a collection,
+   so the probe itself is cheap.
 
    Phase wall-clock times are recorded by [Budget.with_phase] into a
-   mutex-guarded table here (deciders running under [Pool] may finish
-   phases on the main domain while a worker polls a snapshot). *)
+   mutex-guarded table here (the daemon's threads finish phases while
+   another thread reads a snapshot). *)
 
 (* --- engine counters --- *)
 
@@ -30,39 +29,13 @@ let note_arena_words w =
   in
   go ()
 
-(* --- worker-domain GC aggregation --- *)
+(* --- GC sampling --- *)
 
 (* [Gc.quick_stat]'s [minor_words] on OCaml 5.1 advances only at a
    minor collection, so an interval with no collection in it read 0
    words; [Gc.minor_words ()] also counts the live part of the current
    minor heap, so it is exact at any point. *)
 let gc_sample () = { (Gc.quick_stat ()) with Gc.minor_words = Gc.minor_words () }
-
-(* [gc_sample] reads domain-local accumulators, so a snapshot taken on
-   the calling domain misses every word a pool worker allocated. The
-   pool therefore samples each worker around its share of a job and
-   folds the deltas in here; [snapshot] adds the fold to the caller's
-   own sample, so --stats tables and the allocation bars cover all
-   domains, and diffs stay monotonic. *)
-
-let dom_mutex = Mutex.create ()
-let dom_minor = ref 0.
-let dom_promoted = ref 0.
-let dom_major = ref 0.
-let dom_minor_cols = ref 0
-let dom_major_cols = ref 0
-
-let note_domain_gc ~before ~after =
-  Mutex.lock dom_mutex;
-  dom_minor := !dom_minor +. (after.Gc.minor_words -. before.Gc.minor_words);
-  dom_promoted :=
-    !dom_promoted +. (after.Gc.promoted_words -. before.Gc.promoted_words);
-  dom_major := !dom_major +. (after.Gc.major_words -. before.Gc.major_words);
-  dom_minor_cols :=
-    !dom_minor_cols + (after.Gc.minor_collections - before.Gc.minor_collections);
-  dom_major_cols :=
-    !dom_major_cols + (after.Gc.major_collections - before.Gc.major_collections);
-  Mutex.unlock dom_mutex
 
 (* --- phase timers --- *)
 
@@ -111,13 +84,6 @@ type snapshot = {
 let snapshot () =
   let g = gc_sample () in
   let sim_hits, sim_misses, _ = Simcache.stats () in
-  Mutex.lock dom_mutex;
-  let dm = !dom_minor
-  and dp = !dom_promoted
-  and dj = !dom_major
-  and dmc = !dom_minor_cols
-  and djc = !dom_major_cols in
-  Mutex.unlock dom_mutex;
   {
     wall = Unix.gettimeofday ();
     nodes = Atomic.get nodes;
@@ -126,11 +92,11 @@ let snapshot () =
     arena_high_water_words = Atomic.get arena_hw_words;
     sim_hits;
     sim_misses;
-    minor_words = g.Gc.minor_words +. dm;
-    promoted_words = g.Gc.promoted_words +. dp;
-    major_words = g.Gc.major_words +. dj;
-    minor_collections = g.Gc.minor_collections + dmc;
-    major_collections = g.Gc.major_collections + djc;
+    minor_words = g.Gc.minor_words;
+    promoted_words = g.Gc.promoted_words;
+    major_words = g.Gc.major_words;
+    minor_collections = g.Gc.minor_collections;
+    major_collections = g.Gc.major_collections;
   }
 
 (* Counters are monotonic, so a delta is just a fieldwise subtraction;

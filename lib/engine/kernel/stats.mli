@@ -23,19 +23,11 @@ val incr_evictions : unit -> unit
     [w] if larger (max-merge across engines and calls). *)
 val note_arena_words : int -> unit
 
-(** [gc_sample ()] is the calling domain's [Gc.quick_stat] with
+(** [gc_sample ()] is [Gc.quick_stat] with
     [minor_words] taken from [Gc.minor_words ()], which, unlike
     [quick_stat]'s field, also counts words allocated since the last
     minor collection. *)
 val gc_sample : unit -> Gc.stat
-
-(** [note_domain_gc ~before ~after] folds one worker domain's
-    {!gc_sample} delta into the process-wide accumulators that
-    {!snapshot} adds to the calling domain's own figures. The sample is
-    domain-local, so without this a [--jobs N] run would report only
-    the main domain's allocation. The pool calls it around each worker's
-    share of a job; thread-safe. *)
-val note_domain_gc : before:Gc.stat -> after:Gc.stat -> unit
 
 (** {1 Phase timers} *)
 
@@ -90,5 +82,5 @@ val to_json : ?extra:(string * string) list -> snapshot -> string
     heap, space_overhead 200) unless the [RLCHECK_GC] environment
     variable overrides them: ["off"] leaves the runtime untouched;
     ["minor=<words>,space_overhead=<percent>"] overrides field-wise.
-    Call once per domain — [Gc.set] minor-heap sizing is per-domain. *)
+    Call once at start-up. *)
 val gc_tune : unit -> unit

@@ -6,7 +6,6 @@
    [Rl_engine.Budget.t = Rl_engine_kernel.Budget.t]. *)
 
 module Budget = Rl_engine_kernel.Budget
-module Pool = Rl_engine_kernel.Pool
 module Fault = Rl_engine_kernel.Fault
 module Lru = Rl_engine_kernel.Lru
 module Simcache = Rl_engine_kernel.Simcache

@@ -7,7 +7,7 @@
    relation into two int arrays — [offsets] indexed by [q * k + a] and a
    shared [targets] pool — so a (state, symbol) step is one contiguous
    slice scan. The arrays are immutable after construction, hence safe to
-   read from worker domains without synchronization. *)
+   read from any thread without synchronization. *)
 
 type t = {
   states : int;

@@ -134,6 +134,34 @@ let test_minimize_size () =
   let dm = Dfa.minimize_moore (Dfa.determinize ab_star) in
   Alcotest.(check int) "moore agrees" 3 (Dfa.states dm)
 
+(* Minimization is the quotient by language equivalence: two states with
+   the same residual language merge, and finality alone keeps two states
+   apart. Both algorithms must agree on the count. *)
+let minimal_sizes n =
+  let d = Dfa.determinize n in
+  (Dfa.states (Dfa.minimize d), Dfa.states (Dfa.minimize_moore d))
+
+let test_minimize_merges_clones () =
+  (* states 1 and 2 are b-loops, both final: one class, plus 0 and the
+     sink *)
+  let n =
+    Nfa.create ~alphabet:ab ~states:3 ~initial:[ 0 ] ~finals:[ 0; 1; 2 ]
+      ~transitions:
+        [ (0, a_sym, 1); (0, b_sym, 2); (1, b_sym, 1); (2, b_sym, 2) ]
+      ()
+  in
+  Alcotest.(check (pair int int)) "4 -> 3 states" (3, 3) (minimal_sizes n)
+
+let test_minimize_respects_finality () =
+  (* states 1 and 2 step alike (b to 1), but only 1 is final *)
+  let n =
+    Nfa.create ~alphabet:ab ~states:3 ~initial:[ 0 ] ~finals:[ 0; 1 ]
+      ~transitions:
+        [ (0, a_sym, 1); (0, b_sym, 2); (1, b_sym, 1); (2, b_sym, 1) ]
+      ()
+  in
+  Alcotest.(check (pair int int)) "no merge" (4, 4) (minimal_sizes n)
+
 let test_complement () =
   let d = Dfa.determinize ab_star in
   let c = Dfa.complement d in
@@ -332,36 +360,6 @@ let prop_transition_system_shape =
           List.exists (fun a -> Nfa.successors ts q a <> []) [ a_sym; b_sym ])
         (List.init (Nfa.states ts) Fun.id))
 
-let prop_bisim_preserves =
-  QCheck2.Test.make ~name:"bisimulation quotient preserves membership" ~count:400
-    QCheck2.Gen.(pair gen_nfa gen_word_ab)
-    (fun (n, w) -> Nfa.accepts n w = Nfa.accepts (Bisim.quotient n) w)
-
-let prop_bisim_shrinks_and_idempotent =
-  QCheck2.Test.make ~name:"bisimulation quotient shrinks, is idempotent" ~count:300
-    gen_nfa
-    (fun n ->
-      let q = Bisim.quotient n in
-      Nfa.states q <= Nfa.states n && Nfa.states (Bisim.quotient q) = Nfa.states q)
-
-let test_bisim_merges_duplicates () =
-  (* two clones of the same final loop state merge into one *)
-  let n =
-    Nfa.create ~alphabet:ab ~states:3 ~initial:[ 0 ] ~finals:[ 0; 1; 2 ]
-      ~transitions:
-        [ (0, a_sym, 1); (0, a_sym, 2); (1, b_sym, 1); (2, b_sym, 2) ]
-      ()
-  in
-  Alcotest.(check int) "3 -> 2 states" 2 (Nfa.states (Bisim.quotient n))
-
-let test_bisim_respects_finality () =
-  (* same transitions, different finality: no merge *)
-  let n =
-    Nfa.create ~alphabet:ab ~states:2 ~initial:[ 0 ] ~finals:[ 0 ]
-      ~transitions:[] ()
-  in
-  Alcotest.(check int) "no merge" 2 (Nfa.states (Bisim.quotient n))
-
 (* --- antichain inclusion engine --- *)
 
 let test_inclusion_basic () =
@@ -505,8 +503,6 @@ let prop_inclusion_witness_shortest =
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_bisim_preserves;
-      prop_bisim_shrinks_and_idempotent;
       prop_inclusion_agrees_with_determinize;
       prop_inclusion_single_letter;
       prop_inclusion_empty_initial;
@@ -544,11 +540,6 @@ let () =
           Alcotest.test_case "residual" `Quick test_residual;
           Alcotest.test_case "map symbols" `Quick test_map_symbols;
         ] );
-      ( "bisimulation",
-        [
-          Alcotest.test_case "duplicate merge" `Quick test_bisim_merges_duplicates;
-          Alcotest.test_case "finality respected" `Quick test_bisim_respects_finality;
-        ] );
       ( "dfa",
         [
           Alcotest.test_case "determinize" `Quick test_determinize;
@@ -557,6 +548,15 @@ let () =
           Alcotest.test_case "equivalent" `Quick test_equivalent;
           Alcotest.test_case "included" `Quick test_included;
           Alcotest.test_case "states equivalent" `Quick test_states_equivalent;
+        ] );
+      (* the longest group label sets the column where Alcotest cuts long
+         test names; "minimization" keeps it at 12 characters *)
+      ( "minimization",
+        [
+          Alcotest.test_case "clone states merge" `Quick
+            test_minimize_merges_clones;
+          Alcotest.test_case "finality respected" `Quick
+            test_minimize_respects_finality;
         ] );
       ( "inclusion",
         [

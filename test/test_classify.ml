@@ -90,6 +90,29 @@ let prop_remark1_safety =
       in
       rs = Classify.is_safety b)
 
+(* [rlcheck decompose]'s safety leg, as the command runs it: relative
+   safety over Σ^ω with the canonical labeling, under a state budget, on
+   the property translated over the system's alphabet *)
+let abc = Alphabet.make [ "a"; "b"; "c" ]
+
+let decompose_safety_leg f =
+  let budget = Rl_engine_kernel.Budget.create ~max_states:100_000 () in
+  Result.is_ok
+    (Relative.is_relative_safety ~budget
+       ~system:(Classify.universal_buchi abc)
+       (Relative.ltl abc f))
+
+let prop_decompose_safety_leg =
+  QCheck2.Test.make ~name:"decompose's safety leg = Classify.is_safety"
+    ~count:400
+    (Helpers.gen_formula_over ~max_size:3 [ "a"; "b"; "c" ] ~negations:true)
+    (fun f ->
+      let b =
+        Translate.to_buchi ~alphabet:abc ~labeling:(Semantics.canonical abc) f
+      in
+      (* the reference complements [b]: skip the rare large translations *)
+      Buchi.states b > 6 || decompose_safety_leg f = Classify.is_safety b)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -97,6 +120,7 @@ let qsuite =
       prop_decompose_parts_classified;
       prop_remark1_liveness;
       prop_remark1_safety;
+      prop_decompose_safety_leg;
     ]
 
 let () =

@@ -108,6 +108,68 @@ let test_budget_timeout () =
   | exception Budget.Exhausted e ->
       Alcotest.(check bool) "time resource" true (e.Budget.resource = `Time)
 
+let test_budget_poll_cancels () =
+  let budget = Budget.create ~max_states:1 () in
+  (match Budget.tick budget with
+  | () -> ()
+  | exception Budget.Exhausted _ -> ());
+  (match Budget.tick budget with
+  | () -> Alcotest.fail "second tick must exhaust"
+  | exception Budget.Exhausted _ -> ());
+  match Budget.poll budget with
+  | () -> Alcotest.fail "poll on an exhausted budget must re-raise"
+  | exception Budget.Exhausted e ->
+      Alcotest.(check int) "the original record is re-raised" 2
+        e.Budget.states_explored
+
+(* the service watchdog's lever: a [cancel] made on another thread is
+   raised by the checking thread's next [tick] and [poll] *)
+let test_budget_cancel_from_thread () =
+  let b = Budget.create ~max_states:100 () in
+  Budget.set_phase b "the hot loop";
+  for _ = 1 to 7 do
+    Budget.tick b
+  done;
+  Thread.join (Thread.create (fun () -> Budget.cancel b `Time) ());
+  Alcotest.(check bool) "cancelled" true (Budget.cancelled b);
+  let watchdog_record =
+    {
+      Budget.resource = `Time;
+      phase = "the hot loop";
+      states_explored = 7;
+      max_states = Some 100;
+    }
+  in
+  (match Budget.tick b with
+  | () -> Alcotest.fail "tick after cancel must raise"
+  | exception Budget.Exhausted e ->
+      Alcotest.(check bool) "tick raises the watchdog's record" true
+        (e = watchdog_record));
+  match Budget.poll b with
+  | () -> Alcotest.fail "poll after cancel must raise"
+  | exception Budget.Exhausted e ->
+      Alcotest.(check bool) "poll raises the same record" true
+        (e = watchdog_record)
+
+let test_budget_cancel_after_trip () =
+  let b = Budget.create ~max_states:3 () in
+  let tripped =
+    match
+      for _ = 1 to 10 do
+        Budget.tick b
+      done
+    with
+    | () -> Alcotest.fail "the limit must trip"
+    | exception Budget.Exhausted e -> e
+  in
+  Alcotest.(check int) "limit + 1" 4 tripped.Budget.states_explored;
+  Budget.cancel ~phase:"watchdog" b `Time;
+  match Budget.tick b with
+  | () -> Alcotest.fail "a tripped budget keeps raising"
+  | exception Budget.Exhausted e ->
+      Alcotest.(check bool) "the self-tripped record is unchanged" true
+        (e = tripped)
+
 (* --- Error --- *)
 
 let contains_sub hay needle =
@@ -378,6 +440,12 @@ let () =
           Alcotest.test_case "trips determinization" `Quick
             test_budget_trips_determinization;
           Alcotest.test_case "wall-clock deadline" `Quick test_budget_timeout;
+          Alcotest.test_case "poll re-raises the published record" `Quick
+            test_budget_poll_cancels;
+          Alcotest.test_case "cancel from another thread" `Quick
+            test_budget_cancel_from_thread;
+          Alcotest.test_case "cancel leaves a tripped record" `Quick
+            test_budget_cancel_after_trip;
         ] );
       ( "error",
         [

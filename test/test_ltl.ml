@@ -574,79 +574,9 @@ let test_rbar_rejects_negations () =
     (Invalid_argument "Transform: formula !a' is not in Σ'-normal form")
     (fun () -> ignore (Transform.rbar ~abstract:abstract2 (parse "!a'")))
 
-(* --- specification patterns vs. their quantifier definitions --- *)
-
-(* Position-level oracles on a lasso over {a, b}: stem positions are
-   transient, cycle positions repeat forever. *)
-let stem_letters x = Word.to_list (Lasso.stem x)
-let cycle_letters x = Word.to_list (Lasso.cycle x)
-let all_letters x = stem_letters x @ cycle_letters x
-
-let holds_at sym letter = letter = sym
-
-let prop_patterns_match_oracles =
-  QCheck2.Test.make ~name:"patterns match their quantifier definitions"
-    ~count:500 gen_lasso_ab
-    (fun x ->
-      let a_sym = 0 and b_sym = 1 in
-      let sat f = Semantics.satisfies ~labeling:lam x f in
-      (* □a: every position *)
-      sat (Patterns.universality "a")
-      = List.for_all (holds_at a_sym) (all_letters x)
-      && (* □¬a *)
-      sat (Patterns.absence "a")
-      = List.for_all (fun l -> not (holds_at a_sym l)) (all_letters x)
-      && (* ◇b: somewhere (cycle repeats, so stem ∪ cycle) *)
-      sat (Patterns.existence "b")
-      = List.exists (holds_at b_sym) (all_letters x)
-      && (* □◇a: infinitely often = in the cycle *)
-      sat (Patterns.recurrence "a")
-      = List.exists (holds_at a_sym) (cycle_letters x)
-      && (* ◇□a: eventually forever = everywhere in the cycle *)
-      sat (Patterns.stability "a")
-      = List.for_all (holds_at a_sym) (cycle_letters x)
-      && (* □(a → ◇b): triggers in the cycle need b in the cycle; a trigger
-            at stem position i needs b later in the stem or any b in the
-            cycle *)
-      sat (Patterns.response ~trigger:"a" ~reaction:"b")
-      = (let cycle_has_b = List.exists (holds_at b_sym) (cycle_letters x) in
-         let stem = stem_letters x in
-         let rec stem_ok = function
-           | [] -> true
-           | l :: rest ->
-               ((not (holds_at a_sym l))
-               || List.exists (holds_at b_sym) rest
-               || cycle_has_b)
-               && stem_ok rest
-         in
-         stem_ok stem
-         && ((not (List.exists (holds_at a_sym) (cycle_letters x)))
-            || cycle_has_b)))
-
-let prop_precedence_oracle =
-  QCheck2.Test.make ~name:"precedence pattern matches its definition" ~count:500
-    gen_lasso_ab
-    (fun x ->
-      (* ¬b W a: no b strictly before the first a *)
-      let sat =
-        Semantics.satisfies ~labeling:lam x
-          (Patterns.precedence ~first:"a" ~then_:"b")
-      in
-      let rec scan i =
-        if i > 64 then true (* neither a nor b early: vacuously fine *)
-        else
-          match Lasso.at x i with
-          | 0 -> true (* a arrives first *)
-          | 1 -> false (* b before any a *)
-          | _ -> scan (i + 1)
-      in
-      sat = scan 0)
-
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_patterns_match_oracles;
-      prop_precedence_oracle;
       prop_print_parse_roundtrip;
       prop_nnf_preserves;
       prop_nnf_is_pnf;

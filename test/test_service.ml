@@ -226,7 +226,7 @@ let test_fault_isolation_and_counters () =
     (fun () ->
       Alcotest.(check bool) "armed" true (Fault.armed ());
       Alcotest.(check bool) "unconfigured points never fire" false
-        (Fault.should_fire Fault.Pool_domain_death);
+        (Fault.should_fire Fault.Deadline_expiry);
       Alcotest.(check bool) "configured point fires at rate 1" true
         (Fault.should_fire Fault.Malformed_input);
       (match Fault.fire Fault.Malformed_input with
@@ -242,7 +242,7 @@ let test_fault_isolation_and_counters () =
 let test_fault_env_rejects_garbage () =
   List.iter
     (fun v ->
-      match Fault.configure [ (Fault.Pool_domain_death, float_of_string v) ] with
+      match Fault.configure [ (Fault.Cache_miss_storm, float_of_string v) ] with
       | () -> Alcotest.failf "accepted rate %s" v
       | exception Invalid_argument _ -> ()
       | exception Failure _ -> ())
