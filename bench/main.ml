@@ -960,13 +960,13 @@ let resource_profile () =
 (* Part 4: reduction on/off profile                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The preorder engine (Rl_automata.Preorder) quotients every decider
-   operand by mutual direct simulation and upgrades the antichain to
-   simulation-based subsumption. This profile measures what that buys on
-   families with deliberate simulation redundancy: each family runs the
-   same check with [~reduce:true] (the shipping default) and
-   [~reduce:false] (the PR-3 engine: no quotients, plain ⊆-subsumption)
-   under counting budgets. The headline metric is the deterministic
+(* The preorder engine (Rl_automata.Preorder) quotients the decider
+   operands by mutual direct simulation before the products and the
+   antichain search, which keeps its one ⊆ subsumption rule either way.
+   This profile measures what the quotients buy on families with
+   deliberate simulation redundancy: each family runs the same check
+   with [~reduce:true] (the shipping default) and [~reduce:false] (no
+   quotients) under counting budgets. The headline metric is the deterministic
    states-explored ratio — wall clock is recorded too, but the ratio is
    what the ≥2x bar checks, so the bar arms on any machine. Verdicts must
    be identical between the two runs; a mismatch is a soundness bug and
@@ -1006,10 +1006,10 @@ type red_row = {
    string and the states the budget counted; the verdict must not depend
    on [reduce] *)
 let reduction_families () =
-  (* witness words are canonical only per engine (lex-least among that
-     engine's surviving frontier nodes), so the cross-engine contract is
-     verdict + witness length; witness validity is property-tested in
-     test_preorder *)
+  (* witness words are canonical only per search (lex-least among its
+     surviving frontier nodes, which the quotients change), so the
+     on/off contract is verdict + witness length; witness validity is
+     property-tested in test_preorder *)
   let mk_family ~translate check name ts formula =
     let p = Relative.ltl (Nfa.alphabet ts) (Parser.parse formula) in
     let system = Buchi.of_transition_system ts in
@@ -1319,27 +1319,22 @@ let superset_of rng a ~extra_edges =
     ~transitions:(Nfa.transitions a @ !extra)
     ()
 
-type family = {
-  name : string;
-  subsumption : [ `Subset | `Simulation ];
-  a : Nfa.t;
-  b : Nfa.t;
-}
+type family = { name : string; a : Nfa.t; b : Nfa.t }
 
 let corpus () =
   let f1 =
-    (* inclusion holds; plain ⊆-subsumption — the pure flat/arena path *)
+    (* inclusion holds — the pure flat/arena path *)
     let rng = Prng.create 1101 in
     let a = random_nfa rng ~states:110 ~extra:2 ~finals_every:3 in
     let b = superset_of rng a ~extra_edges:55 in
-    { name = "subset-holds"; subsumption = `Subset; a; b }
+    { name = "subset-holds"; a; b }
   in
   let f2 =
-    (* inclusion holds; simulation subsumption over a structured B *)
+    (* inclusion holds; a smaller A with sparser finals *)
     let rng = Prng.create 2202 in
     let a = random_nfa rng ~states:90 ~extra:2 ~finals_every:4 in
     let b = superset_of rng a ~extra_edges:45 in
-    { name = "simulation-holds"; subsumption = `Simulation; a; b }
+    { name = "subset-holds-90"; a; b }
   in
   let f3 =
     (* inclusion fails: B misses a final; the witness is the shortest,
@@ -1347,14 +1342,14 @@ let corpus () =
     let rng = Prng.create 3303 in
     let a = random_nfa rng ~states:36 ~extra:2 ~finals_every:3 in
     let b = random_nfa rng ~states:24 ~extra:1 ~finals_every:7 in
-    { name = "subset-witness"; subsumption = `Subset; a; b }
+    { name = "subset-witness"; a; b }
   in
   let f4 =
     (* a second ⊆ family at a different density *)
     let rng = Prng.create 4404 in
     let a = random_nfa rng ~states:150 ~extra:3 ~finals_every:3 in
     let b = superset_of rng a ~extra_edges:80 in
-    { name = "subset-dense"; subsumption = `Subset; a; b }
+    { name = "subset-dense"; a; b }
   in
   [ f1; f2; f3; f4 ]
 
@@ -1363,12 +1358,10 @@ let corpus () =
 let pins =
   [
     ("subset-holds", ("included", 13818));
-    ("simulation-holds", ("included", 6279));
+    ("subset-holds-90", ("included", 6279));
     ("subset-witness", ("witness:1", 4));
     ("subset-dense", ("included", 17081));
   ]
-
-let mode_name = function `Subset -> "subset" | `Simulation -> "simulation"
 
 let verdict_string = function
   | Ok () -> "included"
@@ -1405,9 +1398,8 @@ type row = {
 let pinned r = r.pin = (r.verdict, r.nodes)
 
 let run_family f =
-  let run () = Inclusion.included ~subsumption:f.subsumption f.a f.b in
-  (* warmup: fills the simulation cache, so the wall clock times the
-     search, not the cached preorder computation *)
+  let run () = Inclusion.included f.a f.b in
+  (* warmup, so the wall clock times a warm search *)
   let verdict = verdict_string (run ()) in
   let full = alloc_profile (fun () -> ignore (run ())) in
   (* the steady-state figure is the marginal allocation: a second run
@@ -1419,7 +1411,7 @@ let run_family f =
     alloc_profile (fun () ->
         let budget = Budget.create ~max_states:64 () in
         try
-          ignore (Inclusion.included ~budget ~subsumption:f.subsumption f.a f.b)
+          ignore (Inclusion.included ~budget f.a f.b)
         with Budget.Exhausted _ -> ())
   in
   let steady = steady_slope ~small:capped ~big:full in
@@ -1437,12 +1429,11 @@ let run_family f =
 let hotpath () =
   header "HOT PATH (antichain inclusion, seeded corpus, serial)";
   let rows = List.map run_family (corpus ()) in
-  Printf.printf "%-18s %-10s %9s %11s %8s %9s %s\n" "family" "mode" "nodes"
-    "wall(s)" "mw/node" "steady" "verdict";
+  Printf.printf "%-18s %9s %11s %8s %9s %s\n" "family" "nodes" "wall(s)"
+    "mw/node" "steady" "verdict";
   List.iter
     (fun r ->
-      Printf.printf "%-18s %-10s %9d %11.4f %8.3f %9.3f %s%s\n" r.family.name
-        (mode_name r.family.subsumption)
+      Printf.printf "%-18s %9d %11.4f %8.3f %9.3f %s%s\n" r.family.name
         r.nodes r.wall_s r.minor_words_per_node r.steady r.verdict
         (if pinned r then ""
          else
@@ -1453,14 +1444,11 @@ let hotpath () =
   (* the allocation bar is on the marginal (steady-state) figure: the
      whole-run average also counts the per-call setup, which is constant
      in the node count and not what the arena is meant to eliminate *)
-  let subset_alloc_ok =
-    List.exists (fun r -> r.family.subsumption = `Subset && r.steady < 1.0) rows
-  in
+  let alloc_ok = List.exists (fun r -> r.steady < 1.0) rows in
   let family r =
     J.Obj
       [
         ("family", J.Str r.family.name);
-        ("mode", J.Str (mode_name r.family.subsumption));
         ("nodes", count r.nodes);
         ("pinned_nodes", count (snd r.pin));
         ("verdict", J.Str r.verdict);
@@ -1476,15 +1464,14 @@ let hotpath () =
         J.Obj
           [
             ("max_steady_minor_words_per_node", J.Num 1.0);
-            ("passed", J.Bool (pins_ok && subset_alloc_ok));
+            ("passed", J.Bool (pins_ok && alloc_ok));
           ] );
       ("families", J.Arr (List.map family rows));
     ];
   if not pins_ok then
     fail "hot-path verdicts or node counts differ from the pins";
-  if not subset_alloc_ok then
-    fail
-      "no subset-mode family ran under 1.0 steady-state minor words per node";
+  if not alloc_ok then
+    fail "no family ran under 1.0 steady-state minor words per node";
   print_endline
     "PASS: verdicts and node counts as pinned, steady-state allocation bar met"
 

@@ -412,9 +412,11 @@ let run_decompose path formula_src max_states timeout bound _jobs no_lint =
   (* Each leg is printed before the next one runs, so a leg that gives
      up (exit 4) leaves the lines before it printed and none after it.
      Safety is relative safety over Σ^ω (Remark 1), decided like rs from
-     the tableau's ¬φ under the command's budget. The other two legs
-     share only its wall clock; the Kupferman–Vardi complementation of
-     the decomposition is capped by --max-states on its own. *)
+     the tableau's ¬φ under the command's budget; the liveness leg's
+     antichain search ticks the same budget, so --max-states caps the
+     states of both legs together. The decomposition leg shares only its
+     wall clock; the Kupferman–Vardi complementation is capped by
+     --max-states on its own. *)
   let safety =
     Relative.is_relative_safety ~budget
       ~system:(Classify.universal_buchi alpha)
@@ -422,7 +424,8 @@ let run_decompose path formula_src max_states timeout bound _jobs no_lint =
   in
   Format.printf "safety property: %b@." (Result.is_ok safety);
   Format.printf "liveness property: %b@."
-    (Classify.is_liveness ~budget:clock b);
+    (Budget.with_phase budget "liveness pre(L) = Σ*" (fun () ->
+         Classify.is_liveness ~budget b));
   let s, l = Classify.decompose ~budget:clock ?max_states b in
   Format.printf
     "decomposition (Alpern–Schneider): safety closure %d states, liveness \

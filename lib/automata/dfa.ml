@@ -422,32 +422,6 @@ let minimize t =
   let t = restrict_reachable t in
   quotient t (residual_classes t)
 
-let minimize_moore t =
-  let t = restrict_reachable t in
-  let n = t.states and k = Alphabet.size t.alphabet in
-  let cls = Array.init n (fun q -> if Bitset.mem t.finals q then 1 else 0) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let sig_tbl = Hashtbl.create n in
-    let next = Array.make n 0 in
-    let count = ref 0 in
-    for q = 0 to n - 1 do
-      let s = (cls.(q), Array.init k (fun a -> cls.(t.delta.(q).(a)))) in
-      match Hashtbl.find_opt sig_tbl s with
-      | Some c -> next.(q) <- c
-      | None ->
-          Hashtbl.add sig_tbl s !count;
-          next.(q) <- !count;
-          incr count
-    done;
-    if next <> cls then begin
-      Array.blit next 0 cls 0 n;
-      changed := true
-    end
-  done;
-  quotient t cls
-
 let states_equivalent a qa b qb =
   let a' = { a with initial = qa } and b' = { b with initial = qb } in
   match equivalent a' b' with Ok () -> true | Error _ -> false

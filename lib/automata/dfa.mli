@@ -91,10 +91,6 @@ val residual_classes : t -> int array
     (Hopcroft's partition-refinement algorithm, over reachable states). *)
 val minimize : t -> t
 
-(** [minimize_moore d] — Moore's O(kn²) minimization; used to cross-check
-    [minimize] in the test suite. *)
-val minimize_moore : t -> t
-
 (** {1 Conversions} *)
 
 val to_nfa : t -> Nfa.t

@@ -26,37 +26,23 @@ module Simcache = Rl_engine_kernel.Simcache
 
    The result is the *direct* simulation — acceptance-compatible at every
    step — so [p ∈ rows.(q)] implies L(q) ⊆ L(p) state-wise, which is the
-   containment fact the antichain subsumption and the quotients rely on.
+   containment fact the quotients rely on.
 
    Computed rows are cached in [Rl_engine_kernel.Simcache] under a digest
    of the automaton's structure; cached rows are shared and must be
    treated as read-only by every consumer. *)
 
-type t = {
-  rows : Bitset.t array; (* rows.(q) = states simulating q; read-only *)
-  tr : Bitset.t array; (* tr.(p) = states p simulates (transpose) *)
-}
+(* rows.(q) = states simulating q; read-only *)
+type t = Bitset.t array
 
-let size t = Array.length t.rows
-let simulators t q = t.rows.(q)
-let simulated_by t p = t.tr.(p)
-let simulates t p q = Bitset.mem t.rows.(q) p
-
-let transpose_rows rows =
-  let n = Array.length rows in
-  let tr = Array.init n (fun _ -> Bitset.create n) in
-  for q = 0 to n - 1 do
-    Bitset.iter (fun p -> Bitset.add tr.(p) q) rows.(q)
-  done;
-  tr
-
-let of_rows rows = { rows; tr = transpose_rows rows }
+let size = Array.length
+let simulators t q = t.(q)
+let simulates t p q = Bitset.mem t.(q) p
 
 (* The refinement loop proper. [memberships] are the state sets the
    relation must respect downward: p may simulate q only if, for every
    member set M, q ∈ M implies p ∈ M. Direct forward simulation passes
-   the final states; backward simulation passes initial and final
-   states. *)
+   the final states. *)
 let refine ~(delta : Csr.t option) ~(rdelta : Csr.t option) ~states:n
     ~symbols:k ~(memberships : Bitset.t list)
     ~(succ : int -> int -> int list) =
@@ -190,12 +176,10 @@ let refine ~(delta : Csr.t option) ~(rdelta : Csr.t option) ~states:n
 (* The key determines the relation and nothing else: state and symbol
    counts, every membership set in order, and every successor list, each
    written as a count followed by its elements (32-bit little-endian
-   ints, so the encoding is self-delimiting). The relation kind needs no
-   tag of its own — a backward view is a forward view of the reversed
-   structure, and two views with the same key have the same greatest
-   simulation. Successor lists are taken sorted, since their order does
-   not change the relation: a Büchi automaton and its pre-language NFA
-   list a cell's successors in opposite orders. *)
+   ints, so the encoding is self-delimiting). Two views with the same key
+   have the same greatest simulation. Successor lists are taken sorted,
+   since their order does not change the relation: a Büchi automaton and
+   its pre-language NFA list a cell's successors in opposite orders. *)
 let fingerprint ~states ~symbols ~memberships ~succ =
   let buf = Buffer.create 1024 in
   let int i = Buffer.add_int32_le buf (Int32.of_int i) in
@@ -223,16 +207,13 @@ let fingerprint ~states ~symbols ~memberships ~succ =
 let of_view ?(cache = true) ?delta ?rdelta ~states ~symbols ~memberships
     ~succ () =
   let compute () = refine ~delta ~rdelta ~states ~symbols ~memberships ~succ in
-  let rows =
-    if cache then
-      (* the fingerprint is always taken over the list view: a caller
-         passing [delta] must not change the cache key *)
-      Simcache.find_or_compute
-        (fingerprint ~states ~symbols ~memberships ~succ)
-        compute
-    else compute ()
-  in
-  of_rows rows
+  if cache then
+    (* the fingerprint is always taken over the list view: a caller
+       passing [delta] must not change the cache key *)
+    Simcache.find_or_compute
+      (fingerprint ~states ~symbols ~memberships ~succ)
+      compute
+  else compute ()
 
 let require_eps_free who n =
   if Nfa.has_eps n then
@@ -247,30 +228,6 @@ let forward ?cache n =
     ~succ:(fun q a -> Nfa.successors n q a)
     ()
 
-(* the reversed successor function backward simulation refines over *)
-let pred_fn n =
-  let states = Nfa.states n in
-  let k = Alphabet.size (Nfa.alphabet n) in
-  let preds = Array.make (states * k) [] in
-  List.iter
-    (fun (q, a, q') ->
-      let cell = (q' * k) + a in
-      preds.(cell) <- q :: preds.(cell))
-    (Nfa.transitions n);
-  Array.iteri (fun i l -> preds.(i) <- List.sort_uniq compare l) preds;
-  fun q a -> preds.((q * k) + a)
-
-let backward ?cache n =
-  require_eps_free "Preorder.backward" n;
-  let states = Nfa.states n in
-  let k = Alphabet.size (Nfa.alphabet n) in
-  (* backward simulation = forward simulation on the reversed automaton,
-     respecting both initiality and finality *)
-  of_view ?cache ~states ~symbols:k
-    ~memberships:[ Bitset.of_list (max states 1) (Nfa.initial n); Nfa.finals n ]
-    ~succ:(pred_fn n)
-    ()
-
 (* Quotient by mutual similarity. The greatest simulation is a preorder,
    so mutual similarity is an equivalence; classes are numbered in order
    of their smallest member, which keeps the construction deterministic. *)
@@ -283,9 +240,9 @@ let mutual_classes t =
       cls.(q) <- !count;
       Bitset.iter
         (fun p ->
-          if p > q && cls.(p) = -1 && Bitset.mem t.rows.(p) q then
+          if p > q && cls.(p) = -1 && Bitset.mem t.(p) q then
             cls.(p) <- !count)
-        t.rows.(q);
+        t.(q);
       incr count
     end
   done;

@@ -4,13 +4,12 @@
     with a Henzinger–Henzinger–Kopke-style refinement loop over bitset
     rows — seeded by one shared first round per membership signature,
     then refined by steps read off the predecessor slices, so the work
-    follows the edges read rather than [n]-bit rows — plus the backward
-    variant (simulation on the reversed automaton, respecting
-    initiality). Direct simulation is
-    acceptance-compatible at every step, so [p] simulating [q] implies
-    the state-wise language containment [L(q) ⊆ L(p)] — the fact the
-    antichain engine's simulation subsumption and the
-    quotient-before-explore reductions both rest on.
+    follows the edges read rather than [n]-bit rows. Direct simulation
+    is acceptance-compatible at every step, so [p] simulating [q]
+    implies the state-wise language containment [L(q) ⊆ L(p)] — the
+    fact the quotient-before-explore reductions rest on. A preorder is
+    its rows of simulators and nothing else: no consumer reads the
+    transposed relation.
 
     Results are memoized in {!Rl_engine_kernel.Simcache} under a digest
     of the automaton structure: asking twice for the preorder of
@@ -28,10 +27,6 @@ val size : t -> int
     Read-only. *)
 val simulators : t -> int -> Rl_prelude.Bitset.t
 
-(** [simulated_by t p] is the transposed row: the states [p] simulates.
-    Read-only. *)
-val simulated_by : t -> int -> Rl_prelude.Bitset.t
-
 (** [simulates t p q] is [true] iff [p] simulates [q]. *)
 val simulates : t -> int -> int -> bool
 
@@ -41,13 +36,6 @@ val simulates : t -> int -> int -> bool
     NFA [n]. [cache] (default [true]) consults the fingerprint cache.
     @raise Invalid_argument if [n] has ε-moves. *)
 val forward : ?cache:bool -> Nfa.t -> t
-
-(** [backward n] is the greatest backward simulation of the ε-free NFA
-    [n]: forward simulation on the reversed automaton, additionally
-    respecting initial states. [p] backward-simulating [q] implies that
-    every word reaching [q] from an initial state also reaches [p].
-    @raise Invalid_argument if [n] has ε-moves. *)
-val backward : ?cache:bool -> Nfa.t -> t
 
 (** [of_view ~states ~symbols ~memberships ~succ ()] computes the
     greatest simulation of an arbitrary transition structure — this is

@@ -272,42 +272,6 @@ let is_empty t =
   let l = live t in
   not (List.exists (Bitset.mem l) t.initial)
 
-(* Nested DFS (Courcoubetis–Vardi–Wolper–Yannakakis), used as an
-   independent oracle for [is_empty] in tests. *)
-let is_empty_ndfs t =
-  let n = t.states in
-  if n = 0 then true
-  else begin
-    let blue = Array.make n false in
-    let red = Array.make n false in
-    let on_path = Array.make n false in
-    let exception Found in
-    let rec red_dfs q =
-      List.iter
-        (fun q' ->
-          if on_path.(q') then raise Found;
-          if not red.(q') then begin
-            red.(q') <- true;
-            red_dfs q'
-          end)
-        (all_successors t q)
-    in
-    let rec blue_dfs q =
-      blue.(q) <- true;
-      on_path.(q) <- true;
-      List.iter (fun q' -> if not blue.(q') then blue_dfs q') (all_successors t q);
-      if Bitset.mem t.accepting q then begin
-        (* post-order check from accepting state *)
-        red_dfs q
-      end;
-      on_path.(q) <- false
-    in
-    try
-      List.iter (fun q -> if not blue.(q) then blue_dfs q) t.initial;
-      true
-    with Found -> false
-  end
-
 let accepting_lasso ?(budget = Rl_engine_kernel.Budget.unlimited) t =
   if t.states = 0 then None
   else begin

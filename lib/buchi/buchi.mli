@@ -108,10 +108,6 @@ val trim : t -> t
 (** [is_empty b] decides [L(b) = ∅] via SCC analysis (Tarjan). *)
 val is_empty : t -> bool
 
-(** [is_empty_ndfs b] — the same decision by nested depth-first search;
-    used to cross-check [is_empty] in the test suite. *)
-val is_empty_ndfs : t -> bool
-
 (** [accepting_lasso ?budget b] is a witness [u·v^ω ∈ L(b)], if the
     language is non-empty. The cycle passes through an accepting state.
     [budget] is charged for the (linear) witness search. *)

@@ -6,9 +6,9 @@ let is_safety b = Omega_lang.is_limit_closed b
 let is_liveness ?budget ?(reduce = true) b =
   (* pre(L) = Σ*: every word extends to a behavior — an antichain
      inclusion of the one-state Σ* automaton in the prefix NFA, with no
-     determinization. [reduce] shrinks the property by its simulation
-     quotient first and prunes the antichain by simulation subsumption;
-     both are language-preserving, so the verdict is unchanged. *)
+     determinization. [reduce] shrinks the property and its prefix NFA
+     by their simulation quotients first; both are language-preserving,
+     so the verdict is unchanged. *)
   let b = if reduce then Reduce.quotient (Buchi.trim b) else b in
   let pre = Buchi.pre_language b in
   let pre = if reduce then Preorder.reduce pre else pre in
@@ -20,8 +20,7 @@ let is_liveness ?budget ?(reduce = true) b =
       ~transitions:(List.init k (fun a -> (0, a, 0)))
       ()
   in
-  let subsumption = if reduce then `Simulation else `Subset in
-  match Inclusion.included ?budget ~subsumption sigma_star pre with
+  match Inclusion.included ?budget sigma_star pre with
   | Ok () -> true
   | Error _ -> false
 

@@ -23,8 +23,7 @@ val is_safety : Buchi.t -> bool
     [pre(L(b)) = Σ*] (every finite word can be extended into [L(b)]).
     [budget] is ticked by the antichain inclusion. [reduce] (default
     [true]) shrinks [b] and its prefix NFA by their cached simulation
-    quotients and prunes the antichain by simulation subsumption — the
-    verdict is reduction-invariant. *)
+    quotients before the search — the verdict is reduction-invariant. *)
 val is_liveness :
   ?budget:Rl_engine_kernel.Budget.t -> ?reduce:bool -> Buchi.t -> bool
 

@@ -26,9 +26,7 @@ let language_preserved ?budget ?(reduce = true) ~system t =
     let p = Buchi.pre_language ?budget b in
     if reduce then Rl_automata.Preorder.reduce p else p
   in
-  let subsumption = if reduce then `Simulation else `Subset in
-  Rl_automata.Inclusion.equivalent ?budget ~subsumption (pre system)
-    (pre t.implementation)
+  Rl_automata.Inclusion.equivalent ?budget (pre system) (pre t.implementation)
 
 let fair_run_satisfies t labels p =
   let pb = Relative.property_buchi (Buchi.alphabet t.product) p in

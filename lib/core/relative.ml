@@ -34,13 +34,16 @@ let property_neg_buchi ?budget ?(reduce = true) alphabet = function
    language-preserving, so verdicts are unchanged and witnesses (plain
    words and lassos, always language-level objects) remain valid on the
    original automata: [Certify] replays them against the caller's
-   system without any translation. [~reduce:false] restores the
-   unreduced search and drops the antichain engine back to plain ⊆
-   subsumption — the comparison mode the bench harness measures. *)
+   system without any translation. rl quotients the system, the
+   property and pre(Lω), but not the product pre(Lω ∩ P): that is the
+   largest automaton of the check, and its quotient costs more than the
+   antichain search it would shrink. rs keeps the quotient of the same
+   product, because it feeds the limit closure and the products after
+   it. [~reduce:false] turns the operand quotients off — the comparison
+   mode the bench harness measures. *)
 
 let reduce_buchi reduce b = if reduce then Reduce.quotient (Buchi.trim b) else b
 let reduce_nfa reduce n = if reduce then Preorder.reduce n else n
-let subsumption_of reduce = if reduce then `Simulation else `Subset
 
 let satisfies ?(budget = Budget.unlimited) ~system p =
   let neg =
@@ -70,15 +73,14 @@ let is_relative_liveness ?(budget = Budget.unlimited) ?(reduce = true)
   in
   let pre_lp =
     Budget.with_phase budget "product pre(Lω ∩ P)" (fun () ->
-        reduce_nfa reduce (Buchi.pre_language ~budget (Buchi.inter ~budget sys pb)))
+        Buchi.pre_language ~budget (Buchi.inter ~budget sys pb))
   in
   (* pre(Lω ∩ P) ⊆ pre(Lω) holds by construction; Lemma 4.3 reduces to the
      converse inclusion, checked on the NFAs directly — the antichain
      search only pays the subset-construction blow-up when the inclusion
      genuinely requires it. *)
   Budget.with_phase budget "inclusion pre(Lω) ⊆ pre(Lω ∩ P)" (fun () ->
-      Inclusion.included ~budget ~subsumption:(subsumption_of reduce)
-        pre_l pre_lp)
+      Inclusion.included ~budget pre_l pre_lp)
 
 let is_relative_safety ?(budget = Budget.unlimited) ?(reduce = true)
     ~system p =
@@ -115,8 +117,7 @@ let is_machine_closed ?(budget = Budget.unlimited) ?(reduce = true)
   in
   match
     Budget.with_phase budget "inclusion pre(Lω) ⊆ pre(Λ)" (fun () ->
-        Inclusion.included ~budget ~subsumption:(subsumption_of reduce)
-          pre_l pre_lambda)
+        Inclusion.included ~budget pre_l pre_lambda)
   with
   | Ok () -> true
   | Error _ -> false

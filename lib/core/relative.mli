@@ -65,10 +65,10 @@ val satisfies :
 (** [is_relative_liveness ~system p] — Definition 4.1 via Lemma 4.3.
     [Error w] is a prefix [w ∈ pre(Lω)] that no continuation within the
     system can extend to a [P]-satisfying behavior. [reduce] (default
-    [true]) quotients the operands by their cached simulation preorders
-    before exploring and lets the antichain engine prune by simulation
-    subsumption; verdicts are reduction-invariant and witnesses remain
-    valid on the original automata. *)
+    [true]) quotients the system, the property and [pre(Lω)] by their
+    cached simulation preorders before exploring; the product
+    [pre(Lω ∩ P)] is searched as built. Verdicts are reduction-invariant
+    and witnesses remain valid on the original automata. *)
 val is_relative_liveness :
   ?budget:Rl_engine_kernel.Budget.t ->
   ?reduce:bool ->

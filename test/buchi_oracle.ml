@@ -139,3 +139,35 @@ let same_structure x y =
   && List.for_all
        (fun q -> List.for_all (fun a -> Buchi.successors x q a = Buchi.successors y q a) (List.init k Fun.id))
        (List.init n Fun.id)
+
+(* Nested DFS (Courcoubetis–Vardi–Wolper–Yannakakis), the reference for
+   the SCC-based [Buchi.is_empty]: a blue depth-first search that, in
+   post-order at each accepting state, starts a red search for a path
+   back onto the blue stack. *)
+let is_empty_ndfs b =
+  let n = Buchi.states b and k = Rl_sigma.Alphabet.size (Buchi.alphabet b) in
+  let succ q = List.concat_map (Buchi.successors b q) (List.init k Fun.id) in
+  let blue = Array.make n false and red = Array.make n false in
+  let on_path = Array.make n false in
+  let exception Found in
+  let rec red_dfs q =
+    List.iter
+      (fun q' ->
+        if on_path.(q') then raise Found;
+        if not red.(q') then begin
+          red.(q') <- true;
+          red_dfs q'
+        end)
+      (succ q)
+  in
+  let rec blue_dfs q =
+    blue.(q) <- true;
+    on_path.(q) <- true;
+    List.iter (fun q' -> if not blue.(q') then blue_dfs q') (succ q);
+    if Buchi.is_accepting b q then red_dfs q;
+    on_path.(q) <- false
+  in
+  try
+    List.iter (fun q -> if not blue.(q) then blue_dfs q) (Buchi.initial b);
+    true
+  with Found -> false

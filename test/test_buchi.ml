@@ -38,7 +38,7 @@ let test_member () =
 
 let test_emptiness () =
   Alcotest.(check bool) "inf_a nonempty" false (Buchi.is_empty inf_a);
-  Alcotest.(check bool) "ndfs agrees" false (Buchi.is_empty_ndfs inf_a);
+  Alcotest.(check bool) "ndfs agrees" false (Buchi_oracle.is_empty_ndfs inf_a);
   (* accepting state unreachable from a cycle *)
   let dead =
     Buchi.create ~alphabet:ab ~states:2 ~initial:[ 0 ] ~accepting:[ 1 ]
@@ -46,7 +46,7 @@ let test_emptiness () =
       ()
   in
   Alcotest.(check bool) "no accepting cycle" true (Buchi.is_empty dead);
-  Alcotest.(check bool) "ndfs agrees (empty)" true (Buchi.is_empty_ndfs dead)
+  Alcotest.(check bool) "ndfs agrees (empty)" true (Buchi_oracle.is_empty_ndfs dead)
 
 let test_accepting_lasso () =
   match Buchi.accepting_lasso inf_a with
@@ -191,7 +191,7 @@ let gen_lasso =
 
 let prop_emptiness_algorithms_agree =
   QCheck2.Test.make ~name:"scc and ndfs emptiness agree" ~count:500 (gen_buchi 7)
-    (fun b -> Buchi.is_empty b = Buchi.is_empty_ndfs b)
+    (fun b -> Buchi.is_empty b = Buchi_oracle.is_empty_ndfs b)
 
 let prop_witness_sound =
   QCheck2.Test.make ~name:"accepting_lasso witness is a member" ~count:500

@@ -2,11 +2,11 @@
    the reduction-invariance of every decider built on them.
 
    Three contracts are under test:
-   (a) quotient-everywhere is sound — every decider returns the same
+   (a) the preorder is the greatest direct simulation — row for row
+       against the HHK oracle in [Preorder_oracle];
+   (b) quotient-everywhere is sound — every decider returns the same
        verdict with [~reduce:true] (the default) and [~reduce:false]
-       (the pre-preorder engine);
-   (b) simulation-based antichain subsumption agrees with the plain
-       ⊆-subsumption antichain and with the determinize oracle;
+       (no quotients);
    (c) witnesses surfaced by the reduced engines replay on the ORIGINAL
        automata (the de-quotienting contract) — checked through the
        Certify module, which decides membership independently of the
@@ -48,9 +48,8 @@ let test_forward_facts () =
   Alcotest.(check bool) "0 simulates 3" true (Preorder.simulates sim 0 3);
   Alcotest.(check bool) "non-final 4 cannot simulate final 2" false
     (Preorder.simulates sim 4 2);
-  (* the transposed view agrees with the rows *)
-  Alcotest.(check bool) "transpose agrees" true
-    (Bitset.mem (Preorder.simulated_by sim 1) 4)
+  Alcotest.(check bool) "3 does not simulate 0" false
+    (Preorder.simulates sim 3 0)
 
 let dup_nfa =
   (* two interchangeable copies of an a-loop with a final b-successor *)
@@ -73,23 +72,6 @@ let test_reduce_collapses () =
         (String.concat "" names ^ " matches original")
         (Nfa.accepts dup_nfa w) (Nfa.accepts r w))
     [ ([ "b" ], true); ([ "a"; "a"; "b" ], true); ([ "a" ], false); ([], false) ]
-
-let test_backward_facts () =
-  (* 0 --a--> 1, 0 --a--> 2, 1/2 --b--> 3: 1 and 2 are reached by exactly
-     the same words, so each backward-simulates the other *)
-  let n =
-    Nfa.create ~alphabet:ab ~states:4 ~initial:[ 0 ] ~finals:[ 3 ]
-      ~transitions:
-        [ (0, a_sym, 1); (0, a_sym, 2); (1, b_sym, 3); (2, b_sym, 3) ]
-      ()
-  in
-  let bwd = Preorder.backward n in
-  Alcotest.(check bool) "1 backward-simulates 2" true
-    (Preorder.simulates bwd 1 2);
-  Alcotest.(check bool) "2 backward-simulates 1" true
-    (Preorder.simulates bwd 2 1);
-  Alcotest.(check bool) "initial 0 not backward-simulated by 3" false
-    (Preorder.simulates bwd 3 0)
 
 let test_simcache_hits () =
   Simcache.clear ();
@@ -218,29 +200,6 @@ let prop_forward_is_simulation =
       done;
       !ok)
 
-let prop_backward_respects_reachability =
-  QCheck2.Test.make
-    ~name:"backward simulation: words reaching q also reach its simulators"
-    ~count:300
-    QCheck2.Gen.(pair gen_nfa gen_word)
-    (fun (n, w) ->
-      let n = Nfa.remove_eps n in
-      let bwd = Preorder.backward n in
-      let reach =
-        List.fold_left
-          (fun states s ->
-            List.sort_uniq compare
-              (List.concat_map (fun q -> Nfa.successors n q s) states))
-          (Nfa.initial n) (Word.to_list w)
-      in
-      List.for_all
-        (fun q ->
-          Bitset.fold
-            (fun p acc -> acc && List.mem p reach)
-            (Preorder.simulators bwd q)
-            true)
-        reach)
-
 let prop_reduce_preserves_language =
   QCheck2.Test.make ~name:"mutual-similarity quotient preserves acceptance"
     ~count:500
@@ -312,36 +271,7 @@ let prop_of_view_matches_oracle =
               (fun q row -> Bitset.equal (Preorder.simulators po q) row)
               oracle))
 
-(* --- (b) subsumption modes agree with each other and the oracle --- *)
-
-let witness_valid a b = function
-  | Ok () -> `Ok
-  | Error w ->
-      if Nfa.accepts a w && not (Nfa.accepts b w) then `Cex
-      else `Invalid
-
-let prop_subsumption_modes_agree =
-  QCheck2.Test.make
-    ~name:"simulation subsumption ≡ ⊆ subsumption ≡ determinize oracle"
-    ~count:500
-    QCheck2.Gen.(pair gen_nfa gen_nfa)
-    (fun (a, b) ->
-      let simu = Inclusion.included ~subsumption:`Simulation a b in
-      let plain = Inclusion.included ~subsumption:`Subset a b in
-      let oracle = Dfa.included (Dfa.determinize a) (Dfa.determinize b) in
-      (* verdicts agree across all three; each engine's witness is real *)
-      witness_valid a b simu = witness_valid a b plain
-      && (match (simu, oracle) with
-         | Ok (), Ok () -> true
-         | Error _, Error _ -> witness_valid a b simu = `Cex
-         | _ -> false)
-      (* both antichain engines find a SHORTEST counterexample *)
-      && (match (simu, plain) with
-         | Error w, Error w' -> Word.length w = Word.length w'
-         | Ok (), Ok () -> true
-         | _ -> false))
-
-(* --- (a)/(c) reduction-invariant verdicts, witnesses replay --- *)
+(* --- (b)/(c) reduction-invariant verdicts, witnesses replay --- *)
 
 let prop_rl_reduce_invariant =
   QCheck2.Test.make
@@ -433,8 +363,6 @@ let () =
             test_forward_facts;
           Alcotest.test_case "reduce collapses duplicates" `Quick
             test_reduce_collapses;
-          Alcotest.test_case "backward simulation facts" `Quick
-            test_backward_facts;
           Alcotest.test_case "fingerprint cache hits" `Quick
             test_simcache_hits;
           Alcotest.test_case "pre-language view reuses the quotient's" `Quick
@@ -444,9 +372,7 @@ let () =
         [
           qcheck prop_forward_is_simulation;
           qcheck prop_of_view_matches_oracle;
-          qcheck prop_backward_respects_reachability;
           qcheck prop_reduce_preserves_language;
-          qcheck prop_subsumption_modes_agree;
         ] );
       ( "reduction-invariance",
         [
