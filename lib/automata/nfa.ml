@@ -14,12 +14,11 @@ type t = {
          representation. Slice order equals list order, so the two views
          agree successor-for-successor. *)
   rcsr : Csr.t option Atomic.t;
-      (* the transposed table, built lazily on first backward pass and
-         cached — preorder refinement and fairness passes stopped
-         rebuilding it per call. In an [Atomic] (keep-first CAS) so the
-         record stays safely shareable across domains; [{t with ...}]
-         copies share the cell, which is sound because they never change
-         [delta]. *)
+      (* the transposed table, built on the first simulation refinement
+         (which reads predecessor slices) and cached. In an [Atomic]
+         (keep-first CAS) so the daemon's threads can share the record;
+         [{t with ...}] copies share the cell, which is sound because they
+         never change [delta]. *)
 }
 
 (* Every construction site funnels through [make]: the labeled delta is

@@ -56,10 +56,11 @@ val successors : t -> int -> Alphabet.symbol -> int list
 val csr : t -> Rl_prelude.Csr.t
 
 (** [rcsr n] is the transposed CSR table ([Csr.transpose (csr n)]),
-    built on first use and cached on the automaton — repeated backward
-    passes (preorder refinement, liveness pruning) stop rebuilding it.
-    Domain-safe: concurrent first calls race benignly on a keep-first
-    CAS over the same deterministic table. *)
+    built on first use and cached on the automaton: simulation
+    refinement ({!Preorder.forward}) reads its predecessor slices, and
+    repeated refinements of one automaton share it. Concurrent first
+    calls from two threads race benignly on a keep-first CAS over the
+    same deterministic table. *)
 val rcsr : t -> Rl_prelude.Csr.t
 
 (** [iter_succ n q a f] applies [f] to every [a]-successor of [q], in

@@ -7,23 +7,46 @@ type t = {
   states : int;
   initial : int list;
   accepting : Bitset.t;
-  delta : int list array array;
-  csr : Csr.t;
-      (* the canonical flat transition table, built once per automaton;
-         slice order equals the [delta] list order *)
+  csr : Csr.t;  (* the one transition table *)
+  lists : int list array array option Atomic.t;
+      (* the per-letter successor lists, read back from [csr] on the
+         first [successors] call and cached *)
   rcsr : Csr.t option Atomic.t;
-      (* the transposed table, built lazily on the first backward pass of
-         simulation refinement and cached; the keep-first CAS makes the
-         cell domain-safe *)
+      (* the transposed table, built on the first simulation refinement
+         (which reads predecessor slices) and cached *)
   trimmed : bool;
       (* every state is reachable and live: [trim] returns the record *)
 }
 
-(* Every construction site funnels through [make]: the delta is frozen
-   into a CSR table exactly once, after all mutation. *)
-let make ~trimmed ~alphabet ~states ~initial ~accepting ~delta =
-  let csr = Csr.of_lists ~states ~symbols:(Alphabet.size alphabet) delta in
-  { alphabet; states; initial; accepting; delta; csr; rcsr = Atomic.make None; trimmed }
+(* Every construction site funnels through [make] with a finished table. *)
+let make ~trimmed ~alphabet ~states ~initial ~accepting csr =
+  {
+    alphabet;
+    states;
+    initial;
+    accepting;
+    csr;
+    lists = Atomic.make None;
+    rcsr = Atomic.make None;
+    trimmed;
+  }
+
+let full n =
+  let s = Bitset.create n in
+  for q = 0 to n - 1 do
+    Bitset.add s q
+  done;
+  s
+
+(* A value computed on first use and kept: the keep-first CAS makes
+   concurrent first calls from the daemon's threads agree on one copy. *)
+let cached cell build =
+  match Atomic.get cell with
+  | Some v -> v
+  | None ->
+      let v = build () in
+      if Atomic.compare_and_set cell None (Some v) then v
+      else (match Atomic.get cell with Some v -> v | None -> v)
 
 (* The triples as per-letter successor lists, a later triple in front of
    an earlier one; every state of [checked] and of the triples is
@@ -50,32 +73,41 @@ let create ~alphabet ~states ~initial ~accepting ~transitions () =
     delta_of ~alphabet ~states ~checked:(initial @ accepting) ~transitions
   in
   make ~trimmed:false ~alphabet ~states ~initial
-    ~accepting:(Bitset.of_list states accepting) ~delta
+    ~accepting:(Bitset.of_list states accepting)
+    (Csr.of_lists ~states ~symbols:(Alphabet.size alphabet) delta)
 
 let alphabet t = t.alphabet
 let states t = t.states
 let initial t = t.initial
 let accepting t = t.accepting
 let is_accepting t q = Bitset.mem t.accepting q
-let successors t q a = t.delta.(q).(a)
 let csr t = t.csr
 
-let rcsr t =
-  match Atomic.get t.rcsr with
-  | Some r -> r
-  | None ->
-      let r = Csr.transpose t.csr in
-      if Atomic.compare_and_set t.rcsr None (Some r) then r
-      else (match Atomic.get t.rcsr with Some r -> r | None -> r)
+let successors t q a =
+  let lists =
+    cached t.lists (fun () ->
+        let k = Alphabet.size t.alphabet in
+        Array.init t.states (fun q ->
+            Array.init k (fun a ->
+                let l = ref [] in
+                for i = Csr.row_stop t.csr q a - 1 downto Csr.row_start t.csr q a do
+                  l := Csr.target t.csr i :: !l
+                done;
+                !l)))
+  in
+  lists.(q).(a)
 
+let rcsr t = cached t.rcsr (fun () -> Csr.transpose t.csr)
 let iter_succ t q a f = Csr.iter_succ t.csr q a f
 let has_edge t q a q' = Csr.mem_succ t.csr q a q'
 
+(* Triples grouped by state and letter in increasing order, each slice
+   reversed. *)
 let transitions t =
   let acc = ref [] in
   for q = t.states - 1 downto 0 do
     for a = Alphabet.size t.alphabet - 1 downto 0 do
-      List.iter (fun q' -> acc := (q, a, q') :: !acc) t.delta.(q).(a)
+      Csr.iter_succ t.csr q a (fun q' -> acc := (q, a, q') :: !acc)
     done
   done;
   !acc
@@ -85,10 +117,9 @@ let of_transition_system n =
     invalid_arg "Buchi.of_transition_system: ε-moves not allowed";
   if not (Nfa.all_states_final n) then
     invalid_arg "Buchi.of_transition_system: all states must be final";
-  create ~alphabet:(Nfa.alphabet n) ~states:(Nfa.states n)
-    ~initial:(Nfa.initial n)
-    ~accepting:(List.init (Nfa.states n) Fun.id)
-    ~transitions:(Nfa.transitions n) ()
+  (* an ε-free NFA's table is the automaton's, slice for slice *)
+  make ~trimmed:false ~alphabet:(Nfa.alphabet n) ~states:(Nfa.states n)
+    ~initial:(Nfa.initial n) ~accepting:(full (Nfa.states n)) (Nfa.csr n)
 
 let limit_of_dfa d =
   let k = Alphabet.size (Dfa.alphabet d) in
@@ -133,13 +164,6 @@ let of_lasso alphabet x =
 
 (* --- graph analyses --- *)
 
-(* Kept as a compatibility shim: [sccs] iterates these lists, and its
-   SCC numbering, observed by [Fair.bottom_sccs] and the RL lint's
-   vacuous-pair pass, depends on this exact successor order. The
-   order-insensitive analyses below step the CSR table instead. *)
-let all_successors t q =
-  Array.fold_left (fun acc l -> List.rev_append l acc) [] t.delta.(q)
-
 let reachable t =
   let seen = Bitset.create t.states in
   let stack = ref [] in
@@ -163,14 +187,27 @@ let reachable t =
   done;
   seen
 
+(* Kept as a compatibility shim: the SCC numbering of [sccs], observed by
+   [Fair.bottom_sccs] and the RL lint's vacuous-pair pass, depends on the
+   successor order, and [sccs] reads each state's CSR row backwards, the
+   order it had over the per-letter lists. The order-insensitive analyses
+   below read the rows forwards. *)
 let sccs t =
-  let s = Scc.of_succ ~states:t.states (fun q f -> List.iter f (all_successors t q)) in
+  let offsets = Csr.offsets t.csr and targets = Csr.targets t.csr in
+  let k = Csr.symbols t.csr in
+  let s =
+    Scc.of_succ ~states:t.states (fun q f ->
+        for i = offsets.((q + 1) * k) - 1 downto offsets.(q * k) do
+          f targets.(i)
+        done)
+  in
   (s.Scc.comp, s.Scc.count)
 
 (* Generalized-Büchi emptiness by SCCs (Couvreur, FM'99): a component is
    good when a run can stay in it forever while visiting each of [sets]. *)
-let good_components ~states ~sets succ =
-  let s = Scc.of_succ ~states succ in
+let good_components ~sets csr =
+  let states = Csr.states csr in
+  let s = Scc.of_csr csr in
   let m = Array.length sets in
   let met = Array.make (s.Scc.count * m) false in
   for q = 0 to states - 1 do
@@ -184,8 +221,9 @@ let good_components ~states ~sets succ =
 (* The states that reach a good component. Components are numbered sinks
    first, so one sweep over the states grouped by ascending component
    closes liveness backwards, with no transposed table. *)
-let live_states ~states ~sets succ =
-  let s, live_c = good_components ~states ~sets succ in
+let live_states ~sets csr =
+  let states = Csr.states csr in
+  let s, live_c = good_components ~sets csr in
   let pos = Array.make (s.count + 1) 0 in
   for c = 0 to s.count - 1 do
     pos.(c + 1) <- pos.(c) + s.size.(c)
@@ -200,24 +238,37 @@ let live_states ~states ~sets succ =
   Array.iter
     (fun q ->
       let c = s.comp.(q) in
-      if not live_c.(c) then succ q (fun q' -> if live_c.(s.comp.(q')) then live_c.(c) <- true))
+      if not live_c.(c) then
+        Csr.iter_row_all csr q (fun q' -> if live_c.(s.comp.(q')) then live_c.(c) <- true))
     order;
   Array.iteri (fun q c -> if live_c.(c) then Bitset.add live q) s.comp;
   live
 
-let live t =
-  live_states ~states:t.states ~sets:[| t.accepting |] (Csr.iter_row_all t.csr)
+let live t = live_states ~sets:[| t.accepting |] t.csr
 
 (* [trim (degeneralize g)] for the generalized automaton [g] given by its
-   fields, without building the degeneralization. Copy [(q, i)] of the
-   counter construction is live iff [q] is live in [g], and every path
-   into a live state runs through live states only; so the kept copies
-   are those reached from [(q0, 0)] through live states. They are
-   numbered in increasing [q·m + i] order, as restricting the full
-   counter construction numbers them. *)
-let prune ~alphabet ~states:n ~initial ~sets ~delta =
+   fields, without building the degeneralization.
+
+   A set that holds every state is met at every step, so it is dropped
+   before counting: the language does not change, and a product with an
+   all-accepting operand (a system, a closure) gets no second copy of
+   its states. No set left is one full set, a single copy.
+
+   Copy [(q, i)] of the counter construction is live iff [q] is live in
+   [g], and every path into a live state runs through live states only;
+   so the kept copies are those reached from [(q0, 0)] through live
+   states. They are numbered in increasing [q·m + i] order, as
+   restricting the full counter construction numbers them, and their
+   rows are written straight into the result's table. *)
+let prune ~alphabet ~initial ~sets csr =
+  let n = Csr.states csr and k = Csr.symbols csr in
+  let sets =
+    match List.filter (fun s -> Bitset.cardinal s < n) (Array.to_list sets) with
+    | [] -> [| full n |]
+    | partial -> Array.of_list partial
+  in
   let m = Array.length sets in
-  let live = live_states ~states:n ~sets (fun q f -> Array.iter (List.iter f) delta.(q)) in
+  let live = live_states ~sets csr in
   let next i q = if Bitset.mem sets.(i) q then (i + 1) mod m else i in
   let kept = Bitset.create (n * m) in
   let stack = ref [] in
@@ -235,9 +286,7 @@ let prune ~alphabet ~states:n ~initial ~sets ~delta =
         stack := rest;
         let q = c / m in
         let j = next (c mod m) q in
-        Array.iter
-          (List.iter (fun q' -> if Bitset.mem live q' then visit ((q' * m) + j)))
-          delta.(q)
+        Csr.iter_row_all csr q (fun q' -> if Bitset.mem live q' then visit ((q' * m) + j))
   done;
   let remap = Array.make (n * m) 0 and count = ref 0 in
   Bitset.iter
@@ -245,28 +294,42 @@ let prune ~alphabet ~states:n ~initial ~sets ~delta =
       remap.(c) <- !count;
       incr count)
     kept;
-  (* the kept copies [(q', j)] of [qs], in order *)
-  let rec copies j = function
-    | [] -> []
-    | q' :: qs when Bitset.mem live q' -> remap.((q' * m) + j) :: copies j qs
-    | _ :: qs -> copies j qs
-  in
-  let accepting = Bitset.create !count in
-  let pruned = Array.make !count [||] in
+  let count = !count in
+  (* two passes over the kept copies in order: slice lengths (a running
+     prefix sum), then the targets, into arrays of the exact size *)
+  let offsets = Array.make ((count * k) + 1) 0 in
   Bitset.iter
     (fun c ->
-      let q = c / m and i = c mod m in
-      if i = 0 && Bitset.mem sets.(0) q then Bitset.add accepting remap.(c);
-      pruned.(remap.(c)) <- Array.map (copies (next i q)) delta.(q))
+      let q = c / m and cell = remap.(c) * k in
+      for a = 0 to k - 1 do
+        let len = ref 0 in
+        for i = Csr.row_start csr q a to Csr.row_stop csr q a - 1 do
+          if Bitset.mem live (Csr.target csr i) then incr len
+        done;
+        offsets.(cell + a + 1) <- offsets.(cell + a) + !len
+      done)
     kept;
-  make ~trimmed:true ~alphabet ~states:!count ~initial:(copies 0 initial) ~accepting
-    ~delta:pruned
+  let targets = Array.make offsets.(count * k) 0 in
+  let accepting = Bitset.create count in
+  Bitset.iter
+    (fun c ->
+      let q = c / m and i = c mod m and r = remap.(c) in
+      if i = 0 && Bitset.mem sets.(0) q then Bitset.add accepting r;
+      let j = next i q and pos = ref offsets.(r * k) in
+      Csr.iter_row_all csr q (fun q' ->
+          if Bitset.mem live q' then begin
+            targets.(!pos) <- remap.((q' * m) + j);
+            incr pos
+          end))
+    kept;
+  make ~trimmed:true ~alphabet ~states:count
+    ~initial:(List.filter_map (fun q -> if Bitset.mem live q then Some remap.(q * m) else None) initial)
+    ~accepting
+    (Csr.of_arrays ~states:count ~symbols:k ~offsets ~targets)
 
 let trim t =
   if t.trimmed then t
-  else
-    prune ~alphabet:t.alphabet ~states:t.states ~initial:t.initial
-      ~sets:[| t.accepting |] ~delta:t.delta
+  else prune ~alphabet:t.alphabet ~initial:t.initial ~sets:[| t.accepting |] t.csr
 
 let is_empty t =
   let l = live t in
@@ -279,10 +342,8 @@ let accepting_lasso ?(budget = Rl_engine_kernel.Budget.unlimited) t =
        single bulk charge accounts for it *)
     Rl_engine_kernel.Budget.charge budget t.states;
     let reach = reachable t in
-    let s, good =
-      good_components ~states:t.states ~sets:[| t.accepting |] (Csr.iter_row_all t.csr)
-    in
-    let scc_id = s.Scc.comp in
+    let s, good = good_components ~sets:[| t.accepting |] t.csr in
+    let scc_id = s.Scc.comp and k = Csr.symbols t.csr in
     (* Find a reachable accepting state inside a good SCC. *)
     let target = ref None in
     for q = 0 to t.states - 1 do
@@ -313,22 +374,19 @@ let accepting_lasso ?(budget = Rl_engine_kernel.Budget.unlimited) t =
             let q = Queue.pop queue in
             if q = stop then found := Some q
             else
-              Array.iteri
-                (fun a succs ->
-                  List.iter
-                    (fun q' ->
-                      let ok =
-                        match restrict_scc with
-                        | None -> true
-                        | Some id -> scc_id.(q') = id
-                      in
-                      if ok && not (Bitset.mem seen q') then begin
-                        Bitset.add seen q';
-                        parent.(q') <- Some (q, a);
-                        Queue.add q' queue
-                      end)
-                    succs)
-                t.delta.(q)
+              for a = 0 to k - 1 do
+                Csr.iter_succ t.csr q a (fun q' ->
+                    let ok =
+                      match restrict_scc with
+                      | None -> true
+                      | Some id -> scc_id.(q') = id
+                    in
+                    if ok && not (Bitset.mem seen q') then begin
+                      Bitset.add seen q';
+                      parent.(q') <- Some (q, a);
+                      Queue.add q' queue
+                    end)
+              done
           done;
           match !found with
           | None -> None
@@ -350,12 +408,10 @@ let accepting_lasso ?(budget = Rl_engine_kernel.Budget.unlimited) t =
            walk terminates there; the first edge is prepended. *)
         let id = scc_id.(f) in
         let first_edges = ref [] in
-        Array.iteri
-          (fun a succs ->
-            List.iter
-              (fun q' -> if scc_id.(q') = id then first_edges := (a, q') :: !first_edges)
-              succs)
-          t.delta.(f);
+        for a = 0 to k - 1 do
+          Csr.iter_succ t.csr f a (fun q' ->
+              if scc_id.(q') = id then first_edges := (a, q') :: !first_edges)
+        done;
         let rec try_edges = function
           | [] -> None
           | (a, q') :: rest -> (
@@ -400,11 +456,8 @@ module Gba = struct
     }
 
   let to_buchi g =
-    let n = g.g_states in
-    prune ~alphabet:g.g_alphabet ~states:n ~initial:g.g_initial ~delta:g.g_delta
-      ~sets:
-        (if Array.length g.g_sets = 0 then [| Bitset.of_list n (List.init n Fun.id) |]
-         else g.g_sets)
+    prune ~alphabet:g.g_alphabet ~initial:g.g_initial ~sets:g.g_sets
+      (Csr.of_lists ~states:g.g_states ~symbols:(Alphabet.size g.g_alphabet) g.g_delta)
 end
 
 (* Pair codes [p·nb + q] are their own hash. *)
@@ -437,16 +490,25 @@ let inter ?(budget = Rl_engine_kernel.Budget.unlimited) a b =
   in
   let initial = List.concat_map (fun p -> List.map (intern p) b.initial) a.initial in
   let k = Alphabet.size a.alphabet in
-  let rows = ref [] and id = ref 0 in
+  (* each pair's row is written as it is expanded, so the product's
+     table is built once, in id order *)
+  let offsets = Vec.create () and targets = Vec.create () in
+  Vec.push offsets 0;
+  let id = ref 0 in
   while !id < Vec.length codes do
     let code = Vec.get codes !id in
     let p = code / nb and q = code mod nb in
     incr id;
     (* successors in order: for [p'] in [a], for [q'] in [b] *)
-    rows :=
-      Array.init k (fun s ->
-          List.concat_map (fun p' -> List.map (intern p') b.delta.(q).(s)) a.delta.(p).(s))
-      :: !rows
+    for s = 0 to k - 1 do
+      for i = Csr.row_start a.csr p s to Csr.row_stop a.csr p s - 1 do
+        let p' = Csr.target a.csr i in
+        for j = Csr.row_start b.csr q s to Csr.row_stop b.csr q s - 1 do
+          Vec.push targets (intern p' (Csr.target b.csr j))
+        done
+      done;
+      Vec.push offsets (Vec.length targets)
+    done
   done;
   let n = Vec.length codes in
   let sets = [| Bitset.create n; Bitset.create n |] in
@@ -455,8 +517,9 @@ let inter ?(budget = Rl_engine_kernel.Budget.unlimited) a b =
     if Bitset.mem a.accepting (code / nb) then Bitset.add sets.(0) id;
     if Bitset.mem b.accepting (code mod nb) then Bitset.add sets.(1) id
   done;
-  prune ~alphabet:a.alphabet ~states:n ~initial ~sets
-    ~delta:(Array.of_list (List.rev !rows))
+  prune ~alphabet:a.alphabet ~initial ~sets
+    (Csr.of_arrays ~states:n ~symbols:k ~offsets:(Vec.to_array offsets)
+       ~targets:(Vec.to_array targets))
 
 let union a b =
   if not (Alphabet.equal a.alphabet b.alphabet) then

@@ -27,7 +27,8 @@ val create :
 (** [of_transition_system n] reads a {e trim, all-states-final} NFA — the
     representation of a prefix-closed behavior language [L] — as the Büchi
     automaton for [lim(L)] (every state accepting). This matches the paper's
-    "finite-state system without acceptance conditions".
+    "finite-state system without acceptance conditions". The result
+    shares [n]'s transition table ({!Nfa.csr}); nothing is copied.
     @raise Invalid_argument if [n] has ε-moves or non-final states. *)
 val of_transition_system : Nfa.t -> t
 
@@ -59,17 +60,25 @@ val states : t -> int
 val initial : t -> int list
 val accepting : t -> Rl_prelude.Bitset.t
 val is_accepting : t -> int -> bool
+
+(** [successors b q a] lists the [a]-successors of [q] in {!csr} slice
+    order. The lists of every state are read back from the table on the
+    first call and kept. *)
 val successors : t -> int -> Alphabet.symbol -> int list
+
+(** [transitions b] lists the [(q, a, q')] triples by increasing [q],
+    then [a]; within one [(q, a)] the order is the reverse of
+    {!successors}. *)
 val transitions : t -> (int * Alphabet.symbol * int) list
 
-(** [csr b] is the flat CSR view of the transitions, built once at
-    construction. Slice order equals the list order of {!successors}. *)
+(** [csr b] is the automaton's one transition table, written once at
+    construction; every other view is read from it. *)
 val csr : t -> Rl_prelude.Csr.t
 
 (** [rcsr b] is the transposed CSR table ([Csr.transpose (csr b)]),
-    built on first use and cached on the automaton — the backward
-    passes of simulation refinement stop rebuilding it. Domain-safe
-    (keep-first CAS). *)
+    built on first use and cached on the automaton: simulation
+    refinement reads its predecessor slices, and repeated refinements
+    of one automaton share it. *)
 val rcsr : t -> Rl_prelude.Csr.t
 
 (** [iter_succ b q a f] applies [f] to every [a]-successor of [q], in
@@ -98,9 +107,11 @@ val sccs : t -> int array * int
 (** [trim b] is the "reduced" automaton of the paper's Theorem 5.1 proof:
     restricted to reachable states from which an ω-word can be accepted,
     renumbered in increasing order. Preserves the language; may have zero
-    states if the language is empty. The results of [trim], {!inter} and
-    {!Gba.to_buchi} are marked trimmed, and [trim] returns them as they
-    are. *)
+    states if the language is empty. It is {!Gba.to_buchi} with the one
+    set [accepting b], so an automaton whose every state is accepting
+    keeps every kept state accepting. The results of [trim], {!inter}
+    and {!Gba.to_buchi} are marked trimmed, and [trim] returns them as
+    they are. *)
 val trim : t -> t
 
 (** {1 Decision procedures} *)
@@ -119,9 +130,12 @@ val member : t -> Lasso.t -> bool
 (** {1 Boolean operations} *)
 
 (** [inter ?budget a b] accepts [L(a) ∩ L(b)]: the generalized-Büchi
-    product of the reachable pairs, numbered breadth first, read through
-    {!Gba.to_buchi}, so the result is trimmed. [budget] is ticked once
-    per pair. *)
+    product of the reachable pairs, numbered breadth first, with one set
+    per operand, read through {!Gba.to_buchi}, so the result is trimmed.
+    When one operand has every state accepting (a system, a limit
+    closure), its set holds every pair and is dropped: the result has
+    one copy of each live pair, all accepting where the other operand
+    is. [budget] is ticked once per pair. *)
 val inter : ?budget:Rl_engine_kernel.Budget.t -> t -> t -> t
 
 (** [union a b] accepts [L(a) ∪ L(b)] (disjoint sum). *)
@@ -154,8 +168,11 @@ module Gba : sig
 
   (** [to_buchi g] is the trimmed counter construction: [trim] of the
       equivalent plain Büchi automaton whose state [q·m + i] is state [q]
-      waiting for set [i] of [m]. Liveness is decided on [g] itself, and
-      only the reachable copies of live states are built. *)
+      waiting for set [i] of [m]. A set that holds every state is met at
+      every step, so it is dropped first; [m] counts the sets left, and
+      when none is left one full set stands for them ([m = 1], every
+      kept state accepting). Liveness is decided on [g] itself, and only
+      the reachable copies of live states are built. *)
   val to_buchi : gba -> t
 end
 

@@ -21,6 +21,16 @@ val of_fn : states:int -> symbols:int -> (int -> int -> int list) -> t
     construction time. Slice order follows the list order. *)
 val of_lists : states:int -> symbols:int -> int list array array -> t
 
+(** [of_arrays ~states ~symbols ~offsets ~targets] adopts the two flat
+    arrays as the table, without copying: [offsets] has length
+    [states * symbols + 1], starts at 0, is nondecreasing and ends at
+    [Array.length targets]; slice [(q, a)] is
+    [targets.(offsets.(q * symbols + a)) .. targets.(offsets.(q * symbols + a + 1) - 1)].
+    The caller must not mutate either array afterwards.
+    @raise Invalid_argument if the lengths or the end points disagree. *)
+val of_arrays :
+  states:int -> symbols:int -> offsets:int array -> targets:int array -> t
+
 val states : t -> int
 val symbols : t -> int
 

@@ -6,82 +6,63 @@ type t = {
   closed : bool array;
 }
 
-(* Iterative Tarjan. Components are numbered in completion order, which
-   for Tarjan is reverse topological order: a component is completed only
+(* Iterative Tarjan over a flat table: the successors of [q] are
+   [targets.(offsets.(q * stride)) .. targets.(offsets.((q + 1) * stride) - 1)],
+   so a CSR table is read in place with [stride] its symbol count. The DFS
+   path and the component stack are int arrays, each at most [states]
+   deep. A state is on the component stack iff it has an index and no
+   component yet. Components are numbered in completion order, which for
+   Tarjan is reverse topological order: a component is completed only
    after every component it can reach. *)
-let of_succ ~states succ =
-  (* materialize the successor rows once so the explicit DFS stack can
-     hold plain integer cursors *)
-  let succs = Array.make states [||] in
-  for q = 0 to states - 1 do
-    let buf = ref [] and len = ref 0 in
-    succ q (fun q' ->
-        buf := q' :: !buf;
-        incr len);
-    let row = Array.make !len 0 in
-    let i = ref (!len - 1) in
-    List.iter
-      (fun q' ->
-        row.(!i) <- q';
-        decr i)
-      !buf;
-    succs.(q) <- row
-  done;
+let tarjan ~states ~stride offsets targets =
+  let lo q = offsets.(q * stride) and hi q = offsets.((q + 1) * stride) in
   let index = Array.make states (-1) in
   let lowlink = Array.make states 0 in
-  let on_stack = Array.make states false in
   let comp = Array.make states (-1) in
-  let stack = ref [] in
-  let next = ref 0 in
-  let count = ref 0 in
+  let stack = Array.make states 0 and sp = ref 0 in
+  let path = Array.make states 0 and cursor = Array.make states 0 in
+  let depth = ref 0 and next = ref 0 and count = ref 0 in
+  let enter v =
+    index.(v) <- !next;
+    lowlink.(v) <- !next;
+    incr next;
+    stack.(!sp) <- v;
+    incr sp;
+    path.(!depth) <- v;
+    cursor.(!depth) <- lo v;
+    incr depth
+  in
   for root = 0 to states - 1 do
     if index.(root) = -1 then begin
-      let call = ref [ (root, ref 0) ] in
-      index.(root) <- !next;
-      lowlink.(root) <- !next;
-      incr next;
-      stack := root :: !stack;
-      on_stack.(root) <- true;
-      while !call <> [] do
-        match !call with
-        | [] -> ()
-        | (v, cursor) :: rest ->
-            let row = succs.(v) in
-            if !cursor < Array.length row then begin
-              let w = row.(!cursor) in
-              incr cursor;
-              if index.(w) = -1 then begin
-                index.(w) <- !next;
-                lowlink.(w) <- !next;
-                incr next;
-                stack := w :: !stack;
-                on_stack.(w) <- true;
-                call := (w, ref 0) :: !call
-              end
-              else if on_stack.(w) then
-                lowlink.(v) <- min lowlink.(v) index.(w)
-            end
-            else begin
-              call := rest;
-              (match rest with
-              | (parent, _) :: _ ->
-                  lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
-              | [] -> ());
-              if lowlink.(v) = index.(v) then begin
-                let id = !count in
-                incr count;
-                let continue = ref true in
-                while !continue do
-                  match !stack with
-                  | [] -> continue := false
-                  | w :: tl ->
-                      stack := tl;
-                      on_stack.(w) <- false;
-                      comp.(w) <- id;
-                      if w = v then continue := false
-                done
-              end
-            end
+      enter root;
+      while !depth > 0 do
+        let d = !depth - 1 in
+        let v = path.(d) and i = cursor.(d) in
+        if i < hi v then begin
+          let w = targets.(i) in
+          cursor.(d) <- i + 1;
+          if index.(w) = -1 then enter w
+          else if comp.(w) = -1 && index.(w) < lowlink.(v) then
+            lowlink.(v) <- index.(w)
+        end
+        else begin
+          depth := d;
+          if d > 0 then begin
+            let parent = path.(d - 1) in
+            if lowlink.(v) < lowlink.(parent) then lowlink.(parent) <- lowlink.(v)
+          end;
+          if lowlink.(v) = index.(v) then begin
+            let id = !count in
+            incr count;
+            let continue = ref true in
+            while !continue do
+              decr sp;
+              let w = stack.(!sp) in
+              comp.(w) <- id;
+              if w = v then continue := false
+            done
+          end
+        end
       done
     end
   done;
@@ -91,16 +72,27 @@ let of_succ ~states succ =
   let self_loop = Array.make count false in
   let closed = Array.make count true in
   for q = 0 to states - 1 do
-    Array.iter
-      (fun q' ->
-        if q = q' then self_loop.(comp.(q)) <- true;
-        if comp.(q) <> comp.(q') then closed.(comp.(q)) <- false)
-      succs.(q)
+    let c = comp.(q) in
+    for i = lo q to hi q - 1 do
+      let q' = targets.(i) in
+      if q = q' then self_loop.(c) <- true;
+      if c <> comp.(q') then closed.(c) <- false
+    done
   done;
   { comp; count; size; self_loop; closed }
 
+(* the rows are copied into the flat form once *)
+let of_succ ~states succ =
+  let offsets = Array.make (states + 1) 0 and targets = Vec.create () in
+  for q = 0 to states - 1 do
+    succ q (Vec.push targets);
+    offsets.(q + 1) <- Vec.length targets
+  done;
+  tarjan ~states ~stride:1 offsets (Vec.to_array targets)
+
 let of_csr csr =
-  of_succ ~states:(Csr.states csr) (fun q f -> Csr.iter_row_all csr q f)
+  tarjan ~states:(Csr.states csr) ~stride:(Csr.symbols csr) (Csr.offsets csr)
+    (Csr.targets csr)
 
 let nontrivial t c = t.size.(c) > 1 || t.self_loop.(c)
 

@@ -25,14 +25,16 @@ type t = {
 
 (** [of_succ ~states succ] decomposes the graph whose edges are produced
     by [succ q f] (calling [f q'] once per edge [q -> q'], duplicates
-    allowed). The iterator is invoked twice per state: once for the DFS
-    and once for the per-component facts. Component numbering depends on
-    the iteration order, so callers that expose their numbering keep it
-    stable by fixing that order. *)
+    allowed). The iterator runs once per state, in increasing state
+    order, to copy the rows into a flat table; the DFS and the
+    per-component facts then read that table. Component numbering depends
+    on the iteration order, so callers that expose their numbering keep
+    it stable by fixing that order. *)
 val of_succ : states:int -> (int -> (int -> unit) -> unit) -> t
 
 (** [of_csr csr] is [of_succ] over all labelled edges of [csr], in
-    {!Csr.iter_row_all} order. *)
+    {!Csr.iter_row_all} order, with the same result; it reads the table
+    in place, without copying a row. *)
 val of_csr : Csr.t -> t
 
 (** [nontrivial t c] is [true] iff component [c] contains a cycle: more

@@ -6,11 +6,11 @@
 
 open Rl_buchi
 
-(* The counter construction over the triples of a generalized automaton:
-   state [q·m + i] is [q] waiting for set [i]; no sets means every run
-   accepts. Per-letter successor lists come out as [Gba.create] orders
-   them: a later triple in front of an earlier one. *)
-let degeneralize ~alphabet ~states ~initial ~sets ~transitions =
+(* The counter construction over the triples of a generalized automaton,
+   one copy per set: state [q·m + i] is [q] waiting for set [i]; no sets
+   means every run accepts. Per-letter successor lists come out as
+   [Gba.create] orders them: a later triple in front of an earlier one. *)
+let counter ~alphabet ~states ~initial ~sets ~transitions =
   let sets = Array.of_list sets in
   let m = max 1 (Array.length sets) in
   let in_set i q = Array.length sets = 0 || List.mem q sets.(i) in
@@ -26,6 +26,15 @@ let degeneralize ~alphabet ~states ~initial ~sets ~transitions =
          (fun (q, a, q') -> List.init m (fun i -> ((q * m) + i, a, (q' * m) + next i q)))
          transitions)
     ()
+
+(* [counter] without the sets that hold every state, as the library
+   builds it: a run meets such a set at every step, so dropping it keeps
+   the language, and no set left is one copy of every state. *)
+let degeneralize ~alphabet ~states ~initial ~sets ~transitions =
+  let full set = List.length (List.sort_uniq Int.compare set) = states in
+  counter ~alphabet ~states ~initial
+    ~sets:(List.filter (fun set -> not (full set)) sets)
+    ~transitions
 
 (* States that reach a nontrivial component holding an accepting state,
    by a backward closure over predecessor lists. *)
@@ -89,8 +98,8 @@ let trim b =
 
 (* The product in five passes: tuple-keyed pair interning in breadth-first
    order, a triple list, the generalized automaton with one set per
-   operand, its full degeneralization, and the trim. *)
-let inter a b =
+   operand, its degeneralization by [degen], and the trim. *)
+let product ~degen a b =
   let k = Rl_sigma.Alphabet.size (Buchi.alphabet a) in
   let table = Hashtbl.create 64 and rev = ref [] and count = ref 0 in
   let queue = Queue.create () in
@@ -124,10 +133,15 @@ let inter a b =
   let pairs = List.rev !rev in
   let ids f = List.concat (List.mapi (fun id pair -> if f pair then [ id ] else []) pairs) in
   trim
-    (degeneralize ~alphabet:(Buchi.alphabet a) ~states:!count ~initial
+    (degen ~alphabet:(Buchi.alphabet a) ~states:!count ~initial
        ~sets:
          [ ids (fun (p, _) -> Buchi.is_accepting a p); ids (fun (_, q) -> Buchi.is_accepting b q) ]
        ~transitions:!transitions)
+
+let inter = product ~degen:degeneralize
+
+(* The product with one counter copy per operand's set, full or not. *)
+let inter_all_sets = product ~degen:counter
 
 (* Same states, initial list, accepting set and successor lists, in
    order. *)

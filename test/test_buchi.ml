@@ -161,7 +161,7 @@ let test_safety_closure () =
 
 let mk_rng seed = Rl_prelude.Prng.create seed
 
-let random_buchi rng ~states =
+let random_buchi ?(all_accepting = false) rng ~states =
   let k = Alphabet.size ab in
   let transitions = ref [] in
   for q = 0 to states - 1 do
@@ -173,7 +173,9 @@ let random_buchi rng ~states =
     done
   done;
   let accepting =
-    List.filter (fun _ -> Rl_prelude.Prng.float rng < 0.4) (List.init states Fun.id)
+    List.filter
+      (fun _ -> all_accepting || Rl_prelude.Prng.float rng < 0.4)
+      (List.init states Fun.id)
   in
   Buchi.create ~alphabet:ab ~states ~initial:[ 0 ] ~accepting
     ~transitions:!transitions ()
@@ -183,6 +185,15 @@ let gen_buchi max_states =
     let* seed = 0 -- 1_000_000 in
     let* states = 1 -- max_states in
     return (random_buchi (mk_rng seed) ~states))
+
+(* Every state accepting half the time, as a system or a closure is: the
+   product drops such an operand's set. *)
+let gen_buchi_full max_states =
+  QCheck2.Gen.(
+    let* seed = 0 -- 1_000_000 in
+    let* states = 1 -- max_states in
+    let* all_accepting = bool in
+    return (random_buchi ~all_accepting (mk_rng seed) ~states))
 
 let gen_lasso =
   QCheck2.Gen.(
@@ -211,8 +222,9 @@ let prop_inter_semantics =
     (fun (b1, b2, x) ->
       Buchi.member (Buchi.inter b1 b2) x = (Buchi.member b1 x && Buchi.member b2 x))
 
-(* A generalized automaton with 0-3 acceptance sets and up to two initial
-   states, as the triples and sets [Gba.create] takes. *)
+(* A generalized automaton with 0-3 acceptance sets, a quarter of them
+   holding every state, and up to two initial states, as the triples and
+   sets [Gba.create] takes. *)
 let gen_gba =
   QCheck2.Gen.(
     let* seed = 0 -- 1_000_000 in
@@ -227,7 +239,8 @@ let gen_gba =
         (List.init states Fun.id)
     in
     let initial = List.init (1 + Rl_prelude.Prng.int rng 2) (fun _ -> Rl_prelude.Prng.int rng states) in
-    return (states, initial, List.init m (fun _ -> pick 0.5), transitions))
+    let set () = if Rl_prelude.Prng.int rng 4 = 0 then pick 1.0 else pick 0.5 in
+    return (states, initial, List.init m (fun _ -> set ()), transitions))
 
 let prop_gba_to_buchi_is_trimmed_degeneralization =
   QCheck2.Test.make ~name:"Gba.to_buchi = trim (degeneralize g), structurally" ~count:1000
@@ -241,8 +254,33 @@ let prop_gba_to_buchi_is_trimmed_degeneralization =
 
 let prop_inter_is_five_pass_product =
   QCheck2.Test.make ~name:"inter = the five-pass product, structurally" ~count:1000
-    QCheck2.Gen.(pair (gen_buchi 5) (gen_buchi 5))
+    QCheck2.Gen.(pair (gen_buchi_full 5) (gen_buchi_full 5))
     (fun (b1, b2) -> Buchi_oracle.same_structure (Buchi.inter b1 b2) (Buchi_oracle.inter b1 b2))
+
+(* Dropping the sets that hold every state keeps the language: against
+   the counter construction over every set, emptiness agrees and so does
+   membership of sampled lassos. *)
+let same_language x y lassos =
+  Buchi.is_empty x = Buchi.is_empty y
+  && List.for_all (fun w -> Buchi.member x w = Buchi.member y w) lassos
+
+let prop_gba_full_sets_language =
+  QCheck2.Test.make ~name:"Gba.to_buchi accepts what the all-sets counter construction does"
+    ~count:500
+    QCheck2.Gen.(pair gen_gba (list_size (1 -- 6) gen_lasso))
+    (fun ((states, initial, sets, transitions), lassos) ->
+      let g =
+        Buchi.Gba.create ~alphabet:ab ~states ~initial ~accepting_sets:sets ~transitions ()
+      in
+      same_language (Buchi.Gba.to_buchi g)
+        (Buchi_oracle.counter ~alphabet:ab ~states ~initial ~sets ~transitions)
+        lassos)
+
+let prop_inter_full_sets_language =
+  QCheck2.Test.make ~name:"inter accepts what the all-sets product does" ~count:500
+    QCheck2.Gen.(triple (gen_buchi_full 5) (gen_buchi_full 5) (list_size (1 -- 6) gen_lasso))
+    (fun (b1, b2, lassos) ->
+      same_language (Buchi.inter b1 b2) (Buchi_oracle.inter_all_sets b1 b2) lassos)
 
 let prop_union_semantics =
   QCheck2.Test.make ~name:"union matches disjunction" ~count:300
@@ -467,6 +505,8 @@ let qsuite =
       prop_inter_semantics;
       prop_gba_to_buchi_is_trimmed_degeneralization;
       prop_inter_is_five_pass_product;
+      prop_gba_full_sets_language;
+      prop_inter_full_sets_language;
       prop_union_semantics;
       prop_complement_partition;
       prop_complement_disjoint;

@@ -232,6 +232,52 @@ let prop_csr_transpose =
       done;
       !ok)
 
+(* --- Scc --- *)
+
+(* Tables with no states or no symbols, and edges that loop or repeat. *)
+let gen_scc_input =
+  QCheck2.Gen.(
+    bind
+      (pair (0 -- 7) (0 -- 2))
+      (fun (n, k) ->
+        if n = 0 || k = 0 then return (n, k, [])
+        else
+          let state = 0 -- (n - 1) and symbol = 0 -- (k - 1) in
+          map3
+            (fun edges loops dups ->
+              (n, k, edges @ loops @ List.filteri (fun i _ -> i < dups) edges))
+            (list_size (0 -- 20) (triple state symbol state))
+            (list_size (0 -- 3) (map2 (fun q a -> (q, a, q)) state symbol))
+            (0 -- 5)))
+
+let prop_scc_of_csr_eq_of_succ =
+  QCheck2.Test.make
+    ~name:"scc: of_csr equals of_succ over iter_row_all, in all five fields"
+    ~count:500 gen_scc_input (fun (n, k, triples) ->
+      let t = Csr.of_lists ~states:n ~symbols:k (rows_of_triples ~states:n ~symbols:k triples) in
+      let a = Scc.of_csr t and b = Scc.of_succ ~states:n (Csr.iter_row_all t) in
+      (* the partition is mutual reachability *)
+      let reach = Array.init n (fun q -> Array.init n (fun q' -> q = q')) in
+      for _ = 1 to n do
+        List.iter
+          (fun (q, _, q') ->
+            for r = 0 to n - 1 do
+              if reach.(r).(q) then reach.(r).(q') <- true
+            done)
+          triples
+      done;
+      a.Scc.comp = b.Scc.comp
+      && a.Scc.count = b.Scc.count
+      && a.Scc.size = b.Scc.size
+      && a.Scc.self_loop = b.Scc.self_loop
+      && a.Scc.closed = b.Scc.closed
+      && List.for_all
+           (fun q ->
+             List.for_all
+               (fun q' -> (a.Scc.comp.(q) = a.Scc.comp.(q')) = (reach.(q).(q') && reach.(q').(q)))
+               (List.init n Fun.id))
+           (List.init n Fun.id))
+
 (* --- Vec --- *)
 
 let test_vec_basic () =
@@ -462,6 +508,7 @@ let qsuite =
       prop_csr_of_lists_eq_of_fn;
       prop_csr_model;
       prop_csr_transpose;
+      prop_scc_of_csr_eq_of_succ;
       prop_vec_model;
       prop_arena_reuse_bounds_footprint;
       prop_union_find_equivalence;
