@@ -203,8 +203,8 @@ let sccs t =
   in
   (s.Scc.comp, s.Scc.count)
 
-(* Generalized-Büchi emptiness by SCCs (Couvreur, FM'99): a component is
-   good when a run can stay in it forever while visiting each of [sets]. *)
+(* Liveness by SCCs: a component is good when a run can stay in it
+   forever while visiting each of [sets]. *)
 let good_components ~sets csr =
   let states = Csr.states csr in
   let s = Scc.of_csr csr in
@@ -331,102 +331,6 @@ let trim t =
   if t.trimmed then t
   else prune ~alphabet:t.alphabet ~initial:t.initial ~sets:[| t.accepting |] t.csr
 
-let is_empty t =
-  let l = live t in
-  not (List.exists (Bitset.mem l) t.initial)
-
-let accepting_lasso ?(budget = Rl_engine_kernel.Budget.unlimited) t =
-  if t.states = 0 then None
-  else begin
-    (* the automaton is already built: the witness search is linear, so a
-       single bulk charge accounts for it *)
-    Rl_engine_kernel.Budget.charge budget t.states;
-    let reach = reachable t in
-    let s, good = good_components ~sets:[| t.accepting |] t.csr in
-    let scc_id = s.Scc.comp and k = Csr.symbols t.csr in
-    (* Find a reachable accepting state inside a good SCC. *)
-    let target = ref None in
-    for q = 0 to t.states - 1 do
-      if
-        !target = None && Bitset.mem reach q
-        && Bitset.mem t.accepting q
-        && good.(scc_id.(q))
-      then target := Some q
-    done;
-    match !target with
-    | None -> None
-    | Some f ->
-        (* BFS path initial → f with labels. *)
-        let bfs start stop restrict_scc =
-          let parent = Array.make t.states None in
-          let seen = Bitset.create t.states in
-          let queue = Queue.create () in
-          List.iter
-            (fun (q, lab) ->
-              if not (Bitset.mem seen q) then begin
-                Bitset.add seen q;
-                parent.(q) <- lab;
-                Queue.add q queue
-              end)
-            start;
-          let found = ref None in
-          while !found = None && not (Queue.is_empty queue) do
-            let q = Queue.pop queue in
-            if q = stop then found := Some q
-            else
-              for a = 0 to k - 1 do
-                Csr.iter_succ t.csr q a (fun q' ->
-                    let ok =
-                      match restrict_scc with
-                      | None -> true
-                      | Some id -> scc_id.(q') = id
-                    in
-                    if ok && not (Bitset.mem seen q') then begin
-                      Bitset.add seen q';
-                      parent.(q') <- Some (q, a);
-                      Queue.add q' queue
-                    end)
-              done
-          done;
-          match !found with
-          | None -> None
-          | Some q ->
-              let rec back q acc =
-                match parent.(q) with
-                | None -> acc
-                | Some (p, a) -> back p (a :: acc)
-              in
-              Some (back q [])
-        in
-        let stem =
-          match bfs (List.map (fun q -> (q, None)) t.initial) f None with
-          | Some labels -> Word.of_list labels
-          | None -> assert false
-        in
-        (* Cycle: take one edge f --a--> q' inside f's SCC, then a path
-           q' → f. The BFS starts fresh at q' (parent None) so the back
-           walk terminates there; the first edge is prepended. *)
-        let id = scc_id.(f) in
-        let first_edges = ref [] in
-        for a = 0 to k - 1 do
-          Csr.iter_succ t.csr f a (fun q' ->
-              if scc_id.(q') = id then first_edges := (a, q') :: !first_edges)
-        done;
-        let rec try_edges = function
-          | [] -> None
-          | (a, q') :: rest -> (
-              match bfs [ (q', None) ] f (Some id) with
-              | Some labels -> Some (Word.of_list (a :: labels))
-              | None -> try_edges rest)
-        in
-        let cycle =
-          match try_edges !first_edges with
-          | Some c -> c
-          | None -> assert false (* f lies in a good (non-trivial) SCC *)
-        in
-        Some (Lasso.make stem cycle)
-  end
-
 (* --- generalized Büchi --- *)
 
 module Gba = struct
@@ -468,58 +372,293 @@ module Pair_tbl = Hashtbl.Make (struct
   let hash c = c
 end)
 
-let inter ?(budget = Rl_engine_kernel.Budget.unlimited) a b =
-  if not (Alphabet.equal a.alphabet b.alphabet) then
-    invalid_arg "Buchi.inter: alphabet mismatch";
-  (* explore only the reachable pairs: the full product is quadratic and
-     dominates memory when one operand is large (e.g. a complement).
-     Ids are handed out breadth first, so the pair numbered [id] is the
-     [id]-th expanded and the id range is the queue. *)
-  let nb = b.states in
-  let ids = Pair_tbl.create 64 and codes = Vec.create () in
-  let intern p q =
-    let code = (p * nb) + q in
-    match Pair_tbl.find_opt ids code with
-    | Some id -> id
-    | None ->
-        Rl_engine_kernel.Budget.tick budget;
-        let id = Vec.length codes in
-        Pair_tbl.add ids code id;
-        Vec.push codes code;
-        id
-  in
-  let initial = List.concat_map (fun p -> List.map (intern p) b.initial) a.initial in
-  let k = Alphabet.size a.alphabet in
-  (* each pair's row is written as it is expanded, so the product's
-     table is built once, in id order *)
-  let offsets = Vec.create () and targets = Vec.create () in
-  Vec.push offsets 0;
-  let id = ref 0 in
-  while !id < Vec.length codes do
-    let code = Vec.get codes !id in
+(* --- products --- *)
+
+(* The product of [a] and [b], generated on demand: only reachable pairs
+   exist, since the full product is quadratic and dominates memory when
+   one operand is large (e.g. a complement). A pair is interned when a
+   row first names it, ticking the budget once; its row is generated
+   when first asked for, letter by letter, for [p'] in [a], for [q'] in
+   [b], and appended to [edges] as [target·k + letter]. For the
+   emptiness search each operand contributes one acceptance mark, none
+   when its set holds every state: such a set is met at every step, as
+   in [prune]. *)
+type product = {
+  pa : t;
+  pb : t;
+  budget : Rl_engine_kernel.Budget.t;
+  ids : int Pair_tbl.t;
+  codes : Vec.t;  (* pair id -> [p·nb + q], in interning order *)
+  first : Vec.t;  (* pair id -> start of its row in [edges], -1 until generated *)
+  last : Vec.t;  (* pair id -> end of its row *)
+  edges : Vec.t;
+  num : Vec.t;
+      (* pair id -> its depth-first number, 0 until the search reaches
+         it, -1 once its component is closed without an accepting cycle *)
+  mark_a : int;  (* 1 when [a]'s set is partial *)
+  mark_b : int;  (* 2 when [b]'s set is partial *)
+}
+
+let intern pr p q =
+  let code = (p * pr.pb.states) + q in
+  match Pair_tbl.find_opt pr.ids code with
+  | Some id -> id
+  | None ->
+      Rl_engine_kernel.Budget.tick pr.budget;
+      let id = Vec.length pr.codes in
+      Pair_tbl.add pr.ids code id;
+      Vec.push pr.codes code;
+      Vec.push pr.first (-1);
+      Vec.push pr.last (-1);
+      Vec.push pr.num 0;
+      id
+
+let generate pr id =
+  if Vec.get pr.first id < 0 then begin
+    let code = Vec.get pr.codes id and nb = pr.pb.states in
     let p = code / nb and q = code mod nb in
-    incr id;
-    (* successors in order: for [p'] in [a], for [q'] in [b] *)
+    let a = pr.pa.csr and b = pr.pb.csr in
+    let k = Csr.symbols a in
+    Vec.set pr.first id (Vec.length pr.edges);
     for s = 0 to k - 1 do
-      for i = Csr.row_start a.csr p s to Csr.row_stop a.csr p s - 1 do
-        let p' = Csr.target a.csr i in
-        for j = Csr.row_start b.csr q s to Csr.row_stop b.csr q s - 1 do
-          Vec.push targets (intern p' (Csr.target b.csr j))
+      for i = Csr.row_start a p s to Csr.row_stop a p s - 1 do
+        let p' = Csr.target a i in
+        for j = Csr.row_start b q s to Csr.row_stop b q s - 1 do
+          Vec.push pr.edges ((intern pr p' (Csr.target b j) * k) + s)
         done
-      done;
-      Vec.push offsets (Vec.length targets)
-    done
+      done
+    done;
+    Vec.set pr.last id (Vec.length pr.edges)
+  end
+
+let marks pr id =
+  let code = Vec.get pr.codes id and nb = pr.pb.states in
+  (if Bitset.mem pr.pa.accepting (code / nb) then pr.mark_a else 0)
+  lor if Bitset.mem pr.pb.accepting (code mod nb) then pr.mark_b else 0
+
+let product ?(budget = Rl_engine_kernel.Budget.unlimited) a b =
+  if not (Alphabet.equal a.alphabet b.alphabet) then
+    invalid_arg "Buchi: alphabet mismatch";
+  let partial t = Bitset.cardinal t.accepting < t.states in
+  let pr =
+    {
+      pa = a;
+      pb = b;
+      budget;
+      ids = Pair_tbl.create 64;
+      codes = Vec.create ();
+      first = Vec.create ();
+      last = Vec.create ();
+      edges = Vec.create ();
+      num = Vec.create ();
+      mark_a = (if partial a then 1 else 0);
+      mark_b = (if partial b then 2 else 0);
+    }
+  in
+  (pr, List.concat_map (fun p -> List.map (intern pr p) b.initial) a.initial)
+
+(* Generating rows in id order hands ids out breadth first; the packed
+   rows become the table's slices, and [prune] degeneralizes. *)
+let inter ?budget a b =
+  let pr, initial = product ?budget a b in
+  let id = ref 0 in
+  while !id < Vec.length pr.codes do
+    generate pr !id;
+    incr id
   done;
-  let n = Vec.length codes in
+  let n = Vec.length pr.codes and nb = b.states and k = Alphabet.size a.alphabet in
+  let offsets = Array.make ((n * k) + 1) 0 in
+  let targets = Array.make (Vec.length pr.edges) 0 in
   let sets = [| Bitset.create n; Bitset.create n |] in
   for id = 0 to n - 1 do
-    let code = Vec.get codes id in
+    let code = Vec.get pr.codes id in
     if Bitset.mem a.accepting (code / nb) then Bitset.add sets.(0) id;
-    if Bitset.mem b.accepting (code mod nb) then Bitset.add sets.(1) id
+    if Bitset.mem b.accepting (code mod nb) then Bitset.add sets.(1) id;
+    for e = Vec.get pr.first id to Vec.get pr.last id - 1 do
+      let x = Vec.get pr.edges e in
+      targets.(e) <- x / k;
+      let cell = (id * k) + (x mod k) + 1 in
+      offsets.(cell) <- offsets.(cell) + 1
+    done
+  done;
+  for cell = 1 to n * k do
+    offsets.(cell) <- offsets.(cell) + offsets.(cell - 1)
   done;
   prune ~alphabet:a.alphabet ~initial ~sets
-    (Csr.of_arrays ~states:n ~symbols:k ~offsets:(Vec.to_array offsets)
-       ~targets:(Vec.to_array targets))
+    (Csr.of_arrays ~states:n ~symbols:k ~offsets ~targets)
+
+(* --- on-the-fly emptiness --- *)
+
+(* Couvreur's emptiness check (FM'99), iteratively. [roots] holds the
+   partial components of the depth-first path as the number of their
+   first pair and the union of their marks; an edge back to a pair still
+   on [live] closes a cycle through every component from that pair's up
+   to the top, which merge. The search stops at the first merge whose
+   marks cover every set, and returns the merged component's root
+   number ([0] when the product is empty): its pairs are the numbered,
+   unclosed ones from the root number on. A component closed without
+   such a merge has no accepting cycle; its pairs leave [live]. *)
+let search pr initial =
+  let full = pr.mark_a lor pr.mark_b and k = Csr.symbols pr.pa.csr in
+  let roots = Vec.create () and acc = Vec.create () in
+  let live = Vec.create () and stack = Vec.create () and cursor = Vec.create () in
+  let count = ref 0 and found = ref 0 in
+  let visit id =
+    generate pr id;
+    incr count;
+    Vec.set pr.num id !count;
+    Vec.push roots !count;
+    Vec.push acc (marks pr id);
+    Vec.push live id;
+    Vec.push stack id;
+    Vec.push cursor (Vec.get pr.first id)
+  in
+  List.iter
+    (fun s0 ->
+      if !found = 0 && Vec.get pr.num s0 = 0 then begin
+        visit s0;
+        while !found = 0 && not (Vec.is_empty stack) do
+          let top = Vec.length stack - 1 in
+          let s = Vec.get stack top and c = Vec.get cursor top in
+          if c < Vec.get pr.last s then begin
+            Vec.set cursor top (c + 1);
+            let d = Vec.get pr.edges c / k in
+            let n = Vec.get pr.num d in
+            if n = 0 then visit d
+            else if n > 0 then begin
+              let r = ref (Vec.pop roots) and m = ref (Vec.pop acc) in
+              while !r > n do
+                r := Vec.pop roots;
+                m := !m lor Vec.pop acc
+              done;
+              Vec.push roots !r;
+              Vec.push acc !m;
+              if !m = full then found := !r
+            end
+          end
+          else begin
+            ignore (Vec.pop stack);
+            ignore (Vec.pop cursor);
+            if Vec.get roots (Vec.length roots - 1) = Vec.get pr.num s then begin
+              ignore (Vec.pop roots);
+              ignore (Vec.pop acc);
+              let rec close () =
+                let v = Vec.pop live in
+                Vec.set pr.num v (-1);
+                if v <> s then close ()
+              in
+              close ()
+            end
+          end
+        done
+      end)
+    initial;
+  !found
+
+(* Breadth first from [starts] through the pairs [within] admits,
+   generating rows as it goes, to the first pair dequeued that [stop]
+   holds: that pair and the letters of the path to it. Rows are stepped
+   in order, so the search meets the pairs as a breadth-first search of
+   the built product would. *)
+let bfs pr ~starts ~within ~stop =
+  let k = Csr.symbols pr.pa.csr in
+  (* pair id -> [from·k + letter]; -1 for a start, -2 while unseen *)
+  let parent = Vec.create () in
+  let extend () =
+    for _ = Vec.length parent to Vec.length pr.codes - 1 do
+      Vec.push parent (-2)
+    done
+  in
+  extend ();
+  let queue = Vec.create () in
+  List.iter
+    (fun s ->
+      if Vec.get parent s = -2 then begin
+        Vec.set parent s (-1);
+        Vec.push queue s
+      end)
+    starts;
+  let head = ref 0 and found = ref (-1) in
+  while !found < 0 && !head < Vec.length queue do
+    let s = Vec.get queue !head in
+    incr head;
+    if stop s then found := s
+    else begin
+      generate pr s;
+      extend ();
+      for e = Vec.get pr.first s to Vec.get pr.last s - 1 do
+        let x = Vec.get pr.edges e in
+        let d = x / k in
+        if Vec.get parent d = -2 && within d then begin
+          Vec.set parent d ((s * k) + (x mod k));
+          Vec.push queue d
+        end
+      done
+    end
+  done;
+  let rec back s acc =
+    let e = Vec.get parent s in
+    if e < 0 then acc else back (e / k) ((e mod k) :: acc)
+  in
+  if !found < 0 then assert false (* the callers' targets are reachable *)
+  else (!found, back !found [])
+
+(* The lasso through the component rooted at number [r]: the stem runs
+   breadth first to the nearest marked pair [f] of the component (any of
+   its pairs when there are no marks). The cycle leaves [f] by the last
+   edge of its row that stays in the component, runs breadth first to a
+   pair carrying the mark [f] lacks, if any, and breadth first back to
+   [f]. The component is strongly connected, so every leg exists. *)
+let witness pr initial r =
+  let full = pr.mark_a lor pr.mark_b and k = Csr.symbols pr.pa.csr in
+  let in_comp id = Vec.get pr.num id >= r in
+  let f, stem =
+    bfs pr ~starts:initial
+      ~within:(fun _ -> true)
+      ~stop:(fun id -> in_comp id && (full = 0 || marks pr id <> 0))
+  in
+  let exit = ref (-1) in
+  for e = Vec.get pr.first f to Vec.get pr.last f - 1 do
+    let x = Vec.get pr.edges e in
+    if in_comp (x / k) then exit := x
+  done;
+  let q' = !exit / k in
+  let missing = full land lnot (marks pr f) in
+  let g, detour =
+    if missing = 0 then (q', [])
+    else bfs pr ~starts:[ q' ] ~within:in_comp ~stop:(fun id -> marks pr id land missing <> 0)
+  in
+  let _, back = bfs pr ~starts:[ g ] ~within:in_comp ~stop:(fun id -> id = f) in
+  Lasso.make (Word.of_list stem) (Word.of_list ((!exit mod k) :: (detour @ back)))
+
+let inter_lasso ?budget a b =
+  let pr, initial = product ?budget a b in
+  match search pr initial with 0 -> None | r -> Some (witness pr initial r)
+
+(* The one-state automaton of Σ^ω: a product with it is its other
+   operand, pair for pair and row for row. *)
+let universal alphabet =
+  let k = Alphabet.size alphabet in
+  make ~trimmed:false ~alphabet ~states:1 ~initial:[ 0 ] ~accepting:(full 1)
+    (Csr.of_arrays ~states:1 ~symbols:k ~offsets:(Array.init (k + 1) Fun.id)
+       ~targets:(Array.make k 0))
+
+let accepting_lasso ?budget t = inter_lasso ?budget t (universal t.alphabet)
+
+let meet a b =
+  let pr, initial = product a b in
+  search pr initial <> 0
+
+let is_empty t = not (meet t (universal t.alphabet))
+let member t x = meet t (of_lasso t.alphabet x)
+
+let with_initial t initial =
+  List.iter
+    (fun q ->
+      if q < 0 || q >= t.states then invalid_arg "Buchi.with_initial: state out of range")
+    initial;
+  (* the same table, so the cached views carry over *)
+  { t with initial; trimmed = false }
 
 let union a b =
   if not (Alphabet.equal a.alphabet b.alphabet) then
@@ -535,8 +674,6 @@ let union a b =
       (Bitset.elements a.accepting
       @ List.map shift (Bitset.elements b.accepting))
     ~transitions ()
-
-let member t x = not (is_empty (inter t (of_lasso t.alphabet x)))
 
 let pre_language ?(budget = Rl_engine_kernel.Budget.unlimited) t =
   Rl_engine_kernel.Budget.charge budget t.states;

@@ -89,6 +89,11 @@ val iter_succ : t -> int -> Alphabet.symbol -> (int -> unit) -> unit
     (linear scan of the CSR slice; no allocation). *)
 val has_edge : t -> int -> Alphabet.symbol -> int -> bool
 
+(** [with_initial b qs] is [b] with initial states [qs]. It shares
+    [b]'s transition table and cached views.
+    @raise Invalid_argument if a state of [qs] is out of range. *)
+val with_initial : t -> int list -> t
+
 (** {1 Structural operations} *)
 
 (** [reachable b] is the set of states reachable from the initial states. *)
@@ -116,15 +121,45 @@ val trim : t -> t
 
 (** {1 Decision procedures} *)
 
-(** [is_empty b] decides [L(b) = ∅] via SCC analysis (Tarjan). *)
-val is_empty : t -> bool
+(** The decisions below are one search: Couvreur's SCC-based check
+    (FM'99) over the product of two automata, explored on the fly. Pairs
+    are interned as rows name them, in {!inter}'s order (letter, then
+    the first operand's successor, then the second's), and each row is
+    generated when the search first steps its pair. Each operand
+    contributes one acceptance mark, none when its set holds every
+    state; the search stops at the first partial component whose merged
+    marks cover every mark. Nothing is pruned, degeneralized or built
+    beyond the pairs the search generates. *)
+
+(** [inter_lasso ?budget a b] is a witness [u·v^ω ∈ L(a) ∩ L(b)], if
+    there is one. The stem is a shortest path to the nearest marked
+    pair of the component the search stopped at (any of its pairs when
+    no set is partial); the cycle leaves that pair by the last edge of
+    its row that stays in the component, passes a pair carrying the
+    mark it lacks, if any, and returns to it by a shortest path inside
+    the component. [budget] is ticked once per pair generated.
+
+    Pruning a product removes only dead pairs, which the search closes
+    without touching a live one, and keeps each row's order: when one
+    operand has every state accepting,
+    [inter_lasso a b = accepting_lasso (inter a b)].
+    @raise Invalid_argument on an alphabet mismatch. *)
+val inter_lasso :
+  ?budget:Rl_engine_kernel.Budget.t -> t -> t -> Lasso.t option
 
 (** [accepting_lasso ?budget b] is a witness [u·v^ω ∈ L(b)], if the
-    language is non-empty. The cycle passes through an accepting state.
-    [budget] is charged for the (linear) witness search. *)
+    language is non-empty: {!inter_lasso} over [b] and the one-state
+    automaton of all ω-words, that is, the same search over [b] alone.
+    The cycle passes through an accepting state when [b]'s set is
+    partial. [budget] is ticked once per state generated. *)
 val accepting_lasso : ?budget:Rl_engine_kernel.Budget.t -> t -> Lasso.t option
 
-(** [member b x] decides [x ∈ L(b)] for an ultimately periodic [x]. *)
+(** [is_empty b] decides [L(b) = ∅]: {!accepting_lasso}'s search,
+    without the witness. *)
+val is_empty : t -> bool
+
+(** [member b x] decides [x ∈ L(b)] for an ultimately periodic [x]: the
+    search over [b] and the automaton of [{x}], without the witness. *)
 val member : t -> Lasso.t -> bool
 
 (** {1 Boolean operations} *)

@@ -2,8 +2,7 @@ let included a b =
   (* trim + simulation-quotient the right-hand side first: the
      complementation is exponential in its state count *)
   let b = Reduce.quotient (Buchi.trim b) in
-  let diff = Buchi.inter a (Complement.complement b) in
-  match Buchi.accepting_lasso diff with
+  match Buchi.inter_lasso a (Complement.complement b) with
   | None -> Ok ()
   | Some x -> Error x
 

@@ -50,12 +50,10 @@ let satisfies ?(budget = Budget.unlimited) ~system p =
     Budget.with_phase budget "complement property" (fun () ->
         property_neg_buchi ~budget (Buchi.alphabet system) p)
   in
-  let prod =
-    Budget.with_phase budget "product Lω ∩ ¬P" (fun () ->
-        Buchi.inter ~budget system neg)
-  in
+  (* Lω ∩ ¬P is searched on the fly, never built: most failing checks
+     stop at the first accepting component *)
   Budget.with_phase budget "emptiness witness" (fun () ->
-      match Buchi.accepting_lasso ~budget prod with
+      match Buchi.inter_lasso ~budget system neg with
       | None -> Ok ()
       | Some x -> Error x)
 
@@ -102,7 +100,7 @@ let is_relative_safety ?(budget = Budget.unlimited) ?(reduce = true)
   in
   Budget.with_phase budget "violating-behavior search" (fun () ->
       let lhs = Buchi.inter ~budget sys closure in
-      match Buchi.accepting_lasso ~budget (Buchi.inter ~budget lhs neg) with
+      match Buchi.inter_lasso ~budget lhs neg with
       | None -> Ok ()
       | Some x -> Error x)
 
@@ -134,13 +132,6 @@ let witness_extension ?(budget = Budget.unlimited) ~system p w =
   in
   if reached = [] then None
   else begin
-    let residual =
-      Buchi.create
-        ~alphabet:(Buchi.alphabet system)
-        ~states:(Buchi.states system) ~initial:reached
-        ~accepting:(Rl_prelude.Bitset.elements (Buchi.accepting system))
-        ~transitions:(Buchi.transitions system) ()
-    in
     let pb = property_buchi ~budget (Buchi.alphabet system) p in
     (* x must satisfy P after the prefix w: accepting behaviors of the
        residual system whose w-prefixed version lies in P. Shift P by w. *)
@@ -152,20 +143,14 @@ let witness_extension ?(budget = Budget.unlimited) ~system p w =
         (Buchi.initial pb) (Word.to_list w)
     in
     if p_reached = [] then None
-    else begin
-      let p_residual =
-        Buchi.create ~alphabet:(Buchi.alphabet pb) ~states:(Buchi.states pb)
-          ~initial:p_reached
-          ~accepting:(Rl_prelude.Bitset.elements (Buchi.accepting pb))
-          ~transitions:(Buchi.transitions pb) ()
-      in
+    else
       match
-        Buchi.accepting_lasso ~budget (Buchi.inter ~budget residual p_residual)
+        Buchi.inter_lasso ~budget
+          (Buchi.with_initial system reached)
+          (Buchi.with_initial pb p_reached)
       with
       | None -> None
-      | Some x ->
-          Some (Lasso.make (Word.append w (Lasso.stem x)) (Lasso.cycle x))
-    end
+      | Some x -> Some (Lasso.make (Word.append w (Lasso.stem x)) (Lasso.cycle x))
   end
 
 (* --- vacuity hints --- *)

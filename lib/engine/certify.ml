@@ -38,7 +38,8 @@ let pp_failure ppf = function
 (* Membership of a behavior in the property, decided independently of the
    automata pipeline the checkers use: formulas go through the direct
    lasso semantics (no Büchi translation), automata through [Buchi.member]
-   (lasso simulation, no complementation). An error in the translation or
+   (a search of the product with the lasso's one-word automaton, no
+   complementation). An error in the translation or
    complementation therefore cannot certify its own output. *)
 let property_holds p x =
   match p with

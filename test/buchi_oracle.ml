@@ -185,3 +185,68 @@ let is_empty_ndfs b =
     List.iter (fun q -> if not blue.(q) then blue_dfs q) (Buchi.initial b);
     true
   with Found -> false
+
+(* The lasso rule the library used before its on-the-fly search: the
+   lowest-numbered reachable accepting state [f] of a nontrivial
+   component holding an accepting state, a breadth-first stem to [f],
+   and a cycle that leaves [f] by the last edge of its row staying in
+   the component and returns by a breadth-first path inside it. *)
+let accepting_lasso b =
+  let n = Buchi.states b and k = Rl_sigma.Alphabet.size (Buchi.alphabet b) in
+  let comp, count = Buchi.sccs b in
+  let nontrivial = Array.make count false and has_acc = Array.make count false in
+  for q = 0 to n - 1 do
+    if Buchi.is_accepting b q then has_acc.(comp.(q)) <- true;
+    for a = 0 to k - 1 do
+      List.iter (fun q' -> if comp.(q') = comp.(q) then nontrivial.(comp.(q)) <- true) (Buchi.successors b q a)
+    done
+  done;
+  let reach = Buchi.reachable b in
+  let good q = Rl_prelude.Bitset.mem reach q && Buchi.is_accepting b q && nontrivial.(comp.(q)) && has_acc.(comp.(q)) in
+  match List.find_opt good (List.init n Fun.id) with
+  | None -> None
+  | Some f ->
+      (* letters of a breadth-first path from [starts] to [f], through the
+         states [ok] admits *)
+      let bfs starts ok =
+        let parent = Array.make n None and seen = Array.make n false in
+        let queue = Queue.create () in
+        List.iter
+          (fun q ->
+            if not seen.(q) then begin
+              seen.(q) <- true;
+              Queue.add q queue
+            end)
+          starts;
+        let found = ref false in
+        while (not !found) && not (Queue.is_empty queue) do
+          let q = Queue.pop queue in
+          if q = f then found := true
+          else
+            for a = 0 to k - 1 do
+              List.iter
+                (fun q' ->
+                  if ok q' && not seen.(q') then begin
+                    seen.(q') <- true;
+                    parent.(q') <- Some (q, a);
+                    Queue.add q' queue
+                  end)
+                (Buchi.successors b q a)
+            done
+        done;
+        let rec back q acc = match parent.(q) with None -> acc | Some (p, a) -> back p (a :: acc) in
+        back f []
+      in
+      let stem = bfs (Buchi.initial b) (fun _ -> true) in
+      let exit = ref None in
+      for a = 0 to k - 1 do
+        List.iter (fun q' -> if comp.(q') = comp.(f) then exit := Some (a, q')) (Buchi.successors b f a)
+      done;
+      let a, q' = Option.get !exit in
+      let cycle = a :: bfs [ q' ] (fun q -> comp.(q) = comp.(f)) in
+      Some (Rl_sigma.Lasso.make (Rl_sigma.Word.of_list stem) (Rl_sigma.Word.of_list cycle))
+
+(* Membership of a lasso by the five-pass product with the automaton of
+   [{x}] and the nested depth-first search: neither [Buchi.member] nor
+   the library's emptiness search. *)
+let member b x = not (is_empty_ndfs (inter b (Buchi.of_lasso (Buchi.alphabet b) x)))

@@ -53,6 +53,27 @@ let test_accepting_lasso () =
   | None -> Alcotest.fail "expected witness"
   | Some x -> Alcotest.(check bool) "witness accepted" true (Buchi.member inf_a x)
 
+(* □◇a ∩ ◇□b is empty: the search closes all three reachable pairs. One
+   tick per pair generated, so a cap of two stops it and a cap of three
+   does not. *)
+let test_inter_lasso_cap () =
+  let run cap =
+    Buchi.inter_lasso ~budget:(Rl_engine_kernel.Budget.create ~max_states:cap ()) inf_a fin_a
+  in
+  Alcotest.(check bool) "cap 3 decides empty" true (run 3 = None);
+  match run 2 with
+  | _ -> Alcotest.fail "cap 2 must stop the search"
+  | exception Rl_engine_kernel.Budget.Exhausted e ->
+      Alcotest.(check int) "explored" 3 e.Rl_engine_kernel.Budget.states_explored
+
+let test_with_initial () =
+  let b = Buchi.with_initial inf_a [ 1 ] in
+  Alcotest.(check bool) "shares the table" true (Buchi.csr b == Buchi.csr inf_a);
+  Alcotest.(check (list int)) "initial" [ 1 ] (Buchi.initial b);
+  Alcotest.(check bool) "a^ω from 1" true (Buchi.member b (lasso [] [ "a" ]));
+  Alcotest.check_raises "out of range" (Invalid_argument "Buchi.with_initial: state out of range")
+    (fun () -> ignore (Buchi.with_initial inf_a [ 2 ]))
+
 let test_of_lasso () =
   let x = lasso [ "b" ] [ "a"; "b" ] in
   let bx = Buchi.of_lasso ab x in
@@ -161,7 +182,7 @@ let test_safety_closure () =
 
 let mk_rng seed = Rl_prelude.Prng.create seed
 
-let random_buchi ?(all_accepting = false) rng ~states =
+let random_buchi ?(all_accepting = false) ?(initial = [ 0 ]) rng ~states =
   let k = Alphabet.size ab in
   let transitions = ref [] in
   for q = 0 to states - 1 do
@@ -177,8 +198,7 @@ let random_buchi ?(all_accepting = false) rng ~states =
       (fun _ -> all_accepting || Rl_prelude.Prng.float rng < 0.4)
       (List.init states Fun.id)
   in
-  Buchi.create ~alphabet:ab ~states ~initial:[ 0 ] ~accepting
-    ~transitions:!transitions ()
+  Buchi.create ~alphabet:ab ~states ~initial ~accepting ~transitions:!transitions ()
 
 let gen_buchi max_states =
   QCheck2.Gen.(
@@ -194,6 +214,21 @@ let gen_buchi_full max_states =
     let* states = 1 -- max_states in
     let* all_accepting = bool in
     return (random_buchi ~all_accepting (mk_rng seed) ~states))
+
+(* An operand of the on-the-fly search: every state accepting when
+   [all_accepting] (its set is dropped), one or two initial states. *)
+let gen_operand ~all_accepting =
+  QCheck2.Gen.(
+    let* seed = 0 -- 1_000_000 in
+    let* states = 1 -- 5 in
+    let* initial = list_size (1 -- 2) (0 -- (states - 1)) in
+    return (random_buchi ~all_accepting ~initial (mk_rng seed) ~states))
+
+(* Two operands with 0, 1 or 2 partial acceptance sets. *)
+let gen_operands =
+  QCheck2.Gen.(
+    let* full_a = bool and* full_b = bool in
+    pair (gen_operand ~all_accepting:full_a) (gen_operand ~all_accepting:full_b))
 
 let gen_lasso =
   QCheck2.Gen.(
@@ -221,6 +256,32 @@ let prop_inter_semantics =
     QCheck2.Gen.(triple (gen_buchi 4) (gen_buchi 4) gen_lasso)
     (fun (b1, b2, x) ->
       Buchi.member (Buchi.inter b1 b2) x = (Buchi.member b1 x && Buchi.member b2 x))
+
+let prop_inter_lasso_verdict =
+  QCheck2.Test.make ~name:"inter_lasso decides as the lowest-id lasso of inter does"
+    ~count:1000 gen_operands (fun (b1, b2) ->
+      Option.is_some (Buchi.inter_lasso b1 b2)
+      = Option.is_some (Buchi_oracle.accepting_lasso (Buchi.inter b1 b2)))
+
+let prop_inter_lasso_sound =
+  QCheck2.Test.make ~name:"inter_lasso witnesses are accepted by both operands" ~count:1000
+    gen_operands (fun (b1, b2) ->
+      match Buchi.inter_lasso b1 b2 with
+      | None -> true
+      | Some x -> Buchi_oracle.member b1 x && Buchi_oracle.member b2 x)
+
+(* With an all-accepting operand the product keeps one copy of each live
+   pair, in interning order, rows in order: the search over the pruned
+   product meets its pairs as the search over the implicit one does. *)
+let prop_inter_lasso_is_lasso_of_inter =
+  QCheck2.Test.make
+    ~name:"inter_lasso = accepting_lasso (inter a b) with an all-accepting operand" ~count:1000
+    QCheck2.Gen.(
+      let* full_first = bool and* full_other = bool in
+      let* full = gen_operand ~all_accepting:true
+      and* other = gen_operand ~all_accepting:full_other in
+      return (if full_first then (full, other) else (other, full)))
+    (fun (b1, b2) -> Buchi.inter_lasso b1 b2 = Buchi.accepting_lasso (Buchi.inter b1 b2))
 
 (* A generalized automaton with 0-3 acceptance sets, a quarter of them
    holding every state, and up to two initial states, as the triples and
@@ -501,6 +562,9 @@ let qsuite =
       prop_simulation_quotient_shrinks;
       prop_emptiness_algorithms_agree;
       prop_witness_sound;
+      prop_inter_lasso_verdict;
+      prop_inter_lasso_sound;
+      prop_inter_lasso_is_lasso_of_inter;
       prop_trim_preserves;
       prop_inter_semantics;
       prop_gba_to_buchi_is_trimmed_degeneralization;
@@ -526,6 +590,8 @@ let () =
           Alcotest.test_case "emptiness" `Quick test_emptiness;
           Alcotest.test_case "accepting lasso" `Quick test_accepting_lasso;
           Alcotest.test_case "of_lasso" `Quick test_of_lasso;
+          Alcotest.test_case "inter_lasso under a state cap" `Quick test_inter_lasso_cap;
+          Alcotest.test_case "with_initial" `Quick test_with_initial;
           Alcotest.test_case "trim" `Quick test_trim;
         ] );
       ( "reduction",
