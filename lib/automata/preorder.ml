@@ -1,5 +1,4 @@
 open Rl_prelude
-open Rl_sigma
 module Simcache = Rl_engine_kernel.Simcache
 
 (* Simulation preorders, computed by a Henzinger–Henzinger–Kopke-style
@@ -43,21 +42,13 @@ let simulates t p q = Bitset.mem t.(q) p
    relation must respect downward: p may simulate q only if, for every
    member set M, q ∈ M implies p ∈ M. Direct forward simulation passes
    the final states. *)
-let refine ~(delta : Csr.t option) ~(rdelta : Csr.t option) ~states:n
-    ~symbols:k ~(memberships : Bitset.t list)
-    ~(succ : int -> int -> int list) =
+let refine ?rdelta ~(memberships : Bitset.t list) delta =
+  let n = Csr.states delta and k = Csr.symbols delta in
   if n = 0 then [||]
   else begin
-    (* [delta], when given, must be the CSR view of [succ]: callers that
-       already hold the automaton's table skip rebuilding it here *)
-    let delta =
-      match delta with
-      | Some d -> d
-      | None -> Csr.of_fn ~states:n ~symbols:k succ
-    in
-    (* likewise [rdelta] must be [Csr.transpose delta]: callers holding
-       an automaton pass its cached transpose (Nfa.rcsr) so repeated
-       refinements stop re-transposing the table *)
+    (* [rdelta], when given, must be [Csr.transpose delta]: callers
+       holding an automaton pass its cached transpose (Nfa.rcsr) so
+       repeated refinements stop re-transposing the table *)
     let rdelta =
       match rdelta with Some r -> r | None -> Csr.transpose delta
     in
@@ -71,18 +62,16 @@ let refine ~(delta : Csr.t option) ~(rdelta : Csr.t option) ~states:n
       Array.fill cw 0 (Array.length cw) 0;
       let rw = Bitset.unsafe_words row in
       for w = 0 to Array.length rw - 1 do
-        let word = rw.(w) in
-        if word <> 0 then
-          for b = 0 to bpw - 1 do
-            if word land (1 lsl b) <> 0 then begin
-              let cell = (((w * bpw) + b) * k) + a in
-              for i = offsets.(cell) to offsets.(cell + 1) - 1 do
-                let q = targets.(i) in
-                let j = q / bpw in
-                cw.(j) <- cw.(j) lor (1 lsl (q mod bpw))
-              done
-            end
-          done
+        let word = ref rw.(w) in
+        while !word <> 0 do
+          let cell = (((w * bpw) + Bitset.lowest_bit !word) * k) + a in
+          for i = offsets.(cell) to offsets.(cell + 1) - 1 do
+            let q = targets.(i) in
+            let j = q / bpw in
+            cw.(j) <- cw.(j) lor (1 lsl (q mod bpw))
+          done;
+          word := !word land (!word - 1)
+        done
       done
     in
     (* [restrict row cm] intersects [row] with [cm]; [true] iff it shrank *)
@@ -174,13 +163,16 @@ let refine ~(delta : Csr.t option) ~(rdelta : Csr.t option) ~states:n
   end
 
 (* The key determines the relation and nothing else: state and symbol
-   counts, every membership set in order, and every successor list, each
-   written as a count followed by its elements (32-bit little-endian
-   ints, so the encoding is self-delimiting). Two views with the same key
-   have the same greatest simulation. Successor lists are taken sorted,
-   since their order does not change the relation: a Büchi automaton and
-   its pre-language NFA list a cell's successors in opposite orders. *)
-let fingerprint ~states ~symbols ~memberships ~succ =
+   counts, every membership set in order, and every successor slice of
+   [delta], each written as a count followed by its elements (32-bit
+   little-endian ints, so the encoding is self-delimiting). Two tables
+   with the same key have the same greatest simulation. Slices are taken
+   sorted, since their order does not change the relation: a Büchi
+   automaton and its pre-language NFA list a cell's successors in
+   opposite orders. *)
+let fingerprint ~memberships delta =
+  let states = Csr.states delta and symbols = Csr.symbols delta in
+  let offsets = Csr.offsets delta and targets = Csr.targets delta in
   let buf = Buffer.create 1024 in
   let int i = Buffer.add_int32_le buf (Int32.of_int i) in
   int states;
@@ -191,28 +183,22 @@ let fingerprint ~states ~symbols ~memberships ~succ =
       int (Bitset.cardinal m);
       Bitset.iter int m)
     memberships;
-  for q = 0 to states - 1 do
-    for a = 0 to symbols - 1 do
-      let l =
-        match succ q a with
-        | ([] | [ _ ]) as l -> l
-        | l -> List.sort Int.compare l
-      in
-      int (List.length l);
-      List.iter int l
-    done
+  for cell = 0 to (states * symbols) - 1 do
+    let lo = offsets.(cell) and hi = offsets.(cell + 1) in
+    int (hi - lo);
+    if hi - lo = 1 then int targets.(lo)
+    else if hi > lo then begin
+      let slice = Array.sub targets lo (hi - lo) in
+      Array.sort Int.compare slice;
+      Array.iter int slice
+    end
   done;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let of_view ?(cache = true) ?delta ?rdelta ~states ~symbols ~memberships
-    ~succ () =
-  let compute () = refine ~delta ~rdelta ~states ~symbols ~memberships ~succ in
+let of_view ?(cache = true) ?rdelta ~memberships delta =
+  let compute () = refine ?rdelta ~memberships delta in
   if cache then
-    (* the fingerprint is always taken over the list view: a caller
-       passing [delta] must not change the cache key *)
-    Simcache.find_or_compute
-      (fingerprint ~states ~symbols ~memberships ~succ)
-      compute
+    Simcache.find_or_compute (fingerprint ~memberships delta) compute
   else compute ()
 
 let require_eps_free who n =
@@ -221,12 +207,7 @@ let require_eps_free who n =
 
 let forward ?cache n =
   require_eps_free "Preorder.forward" n;
-  of_view ?cache ~delta:(Nfa.csr n) ~rdelta:(Nfa.rcsr n)
-    ~states:(Nfa.states n)
-    ~symbols:(Alphabet.size (Nfa.alphabet n))
-    ~memberships:[ Nfa.finals n ]
-    ~succ:(fun q a -> Nfa.successors n q a)
-    ()
+  of_view ?cache ~rdelta:(Nfa.rcsr n) ~memberships:[ Nfa.finals n ] (Nfa.csr n)
 
 (* Quotient by mutual similarity. The greatest simulation is a preorder,
    so mutual similarity is an equivalence; classes are numbered in order

@@ -37,29 +37,28 @@ val simulates : t -> int -> int -> bool
     @raise Invalid_argument if [n] has ε-moves. *)
 val forward : ?cache:bool -> Nfa.t -> t
 
-(** [of_view ~states ~symbols ~memberships ~succ ()] computes the
-    greatest simulation of an arbitrary transition structure — this is
-    how the Büchi layer reuses the engine without the kernel or this
-    module depending on it. [memberships] lists the state sets the
-    relation must respect downward ([q ∈ M] forces simulators of [q]
-    into [M]); [succ q a] must be deterministic. The cache key is the
-    structure alone (state and symbol counts, memberships, sorted
-    successor lists), so views of different automata that coincide —
-    a Büchi automaton and its all-final pre-language NFA — share one
-    computation. [delta], when given, must be the CSR view of [succ],
-    and [rdelta] its transpose (automaton callers pass the cached
-    [Nfa.rcsr]/[Buchi.rcsr]): both only skip rebuilding tables, the
-    cache key is unchanged. *)
+(** [of_view ~memberships delta] computes the greatest simulation of an
+    arbitrary CSR transition table — this is how the Büchi layer reuses
+    the engine without the kernel or this module depending on it.
+    [memberships] lists the state sets the relation must respect
+    downward ([q ∈ M] forces simulators of [q] into [M]). [rdelta], when
+    given, must be [Csr.transpose delta] (automaton callers pass the
+    cached [Nfa.rcsr]/[Buchi.rcsr]); it only skips rebuilding the
+    transpose. The cache key is {!fingerprint}. *)
 val of_view :
   ?cache:bool ->
-  ?delta:Rl_prelude.Csr.t ->
   ?rdelta:Rl_prelude.Csr.t ->
-  states:int ->
-  symbols:int ->
   memberships:Rl_prelude.Bitset.t list ->
-  succ:(int -> int -> int list) ->
-  unit ->
+  Rl_prelude.Csr.t ->
   t
+
+(** [fingerprint ~memberships delta] is the cache key of [of_view]: a
+    digest of the structure alone (state and symbol counts, memberships,
+    every successor slice sorted), so tables of different automata that
+    coincide — a Büchi automaton and its all-final pre-language NFA,
+    which list a cell's successors in opposite orders — share one
+    computation. *)
+val fingerprint : memberships:Rl_prelude.Bitset.t list -> Rl_prelude.Csr.t -> string
 
 (** {1 Quotients} *)
 

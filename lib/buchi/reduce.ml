@@ -1,5 +1,4 @@
 open Rl_prelude
-open Rl_sigma
 module Preorder = Rl_automata.Preorder
 
 (* Direct simulation for Büchi automata, via the shared refinement engine
@@ -14,11 +13,7 @@ let preorder b =
   for q = 0 to n - 1 do
     if Buchi.is_accepting b q then Bitset.add accepting q
   done;
-  Preorder.of_view ~delta:(Buchi.csr b) ~rdelta:(Buchi.rcsr b) ~states:n
-    ~symbols:(Alphabet.size (Buchi.alphabet b))
-    ~memberships:[ accepting ]
-    ~succ:(fun q a -> Buchi.successors b q a)
-    ()
+  Preorder.of_view ~rdelta:(Buchi.rcsr b) ~memberships:[ accepting ] (Buchi.csr b)
 
 let direct_simulation b =
   let n = Buchi.states b in

@@ -13,13 +13,16 @@
     {b Closure numbering.} The closure of the NNF formula (its
     subformulas) is numbered once, in {!Formula.compare} order, and every
     connective is rewritten over those indices. A tableau node's
-    [new]/[old]/[next] obligation sets are bitsets over the closure, so
-    the expansion never compares formula trees; choosing the smallest
-    index is choosing the smallest formula.
+    [new]/[old]/[next] obligation sets are immutable arrays of machine
+    words over the closure, copied on write, so the expansion never
+    compares formula trees: membership is a word test, and choosing the
+    smallest index, which is choosing the smallest formula, is taking
+    the lowest set bit ({!Rl_prelude.Bitset.lowest_bit}).
 
-    {b Node key.} A finished node is identified, through a hash table, by
-    three things: the literals of its [old] set, its whole [next] set, and
-    one acceptance bit per until [u = g U h], equal to [u ∉ old ∨ h ∈ old].
+    {b Node key.} A finished node is identified, through a hash table
+    keyed on word arrays, by three things: the literals of its [old] set,
+    its whole [next] set, and one acceptance bit per until [u = g U h],
+    equal to [u ∉ old ∨ h ∈ old].
     Two finished nodes that agree on these are the same state, so the
     second is merged into the first (its predecessor is added to the
     first's incoming set) and its [next] is not expanded again. The merge

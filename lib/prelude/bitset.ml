@@ -28,7 +28,10 @@ let mem s i =
   let w = i / bits_per_word and b = i mod bits_per_word in
   s.words.(w) land (1 lsl b) <> 0
 
-let is_empty s = Array.for_all (fun w -> w = 0) s.words
+let is_empty s =
+  let words = s.words in
+  let rec loop w = w = Array.length words || (words.(w) = 0 && loop (w + 1)) in
+  loop 0
 
 let popcount n =
   let rec loop n acc = if n = 0 then acc else loop (n land (n - 1)) (acc + 1) in
@@ -69,13 +72,28 @@ let disjoint a b =
   let rec loop i = i >= n || (a.words.(i) land b.words.(i) = 0 && loop (i + 1)) in
   loop 0
 
+(* [2^b mod 67] is distinct for every [b] below 66, because 2 generates
+   the units modulo the prime 67: the residue of an isolated bit names
+   its position. The top bit is the sign bit, isolated as [min_int]. *)
+let positions =
+  let t = Array.make 67 0 in
+  for b = 0 to bits_per_word - 2 do
+    t.((1 lsl b) mod 67) <- b
+  done;
+  t
+
+let lowest_bit word =
+  let bit = word land -word in
+  if bit < 0 then bits_per_word - 1 else positions.(bit mod 67)
+
 let iter f s =
-  for w = 0 to Array.length s.words - 1 do
-    let word = s.words.(w) in
-    if word <> 0 then
-      for b = 0 to bits_per_word - 1 do
-        if word land (1 lsl b) <> 0 then f ((w * bits_per_word) + b)
-      done
+  let words = s.words in
+  for w = 0 to Array.length words - 1 do
+    let word = ref words.(w) in
+    while !word <> 0 do
+      f ((w * bits_per_word) + lowest_bit !word);
+      word := !word land (!word - 1)
+    done
   done
 
 let fold f s acc =
@@ -91,11 +109,13 @@ let of_list cap xs =
   s
 
 let choose s =
-  let exception Found of int in
-  try
-    iter (fun i -> raise (Found i)) s;
-    raise Not_found
-  with Found i -> i
+  let words = s.words in
+  let rec loop w =
+    if w = Array.length words then raise Not_found
+    else if words.(w) = 0 then loop (w + 1)
+    else (w * bits_per_word) + lowest_bit words.(w)
+  in
+  loop 0
 
 let hash s = Array.fold_left (fun acc w -> (acc * 31) + (w land max_int)) 17 s.words
 

@@ -23,6 +23,16 @@ val copy : t -> t
     read-only unless you own the set. *)
 val unsafe_words : t -> int array
 
+(** [lowest_bit word] is the position, from [0] to [Sys.int_size - 1], of
+    the lowest set bit of the nonzero [word] (for [min_int], the sign
+    bit, it is [Sys.int_size - 1]); an [unsafe_words] word holds element
+    [w * Sys.int_size + lowest_bit word] at index [w]. With
+    [word land (word - 1)], which clears that bit, a loop visits the set
+    bits of a word in increasing order and no others: [iter], [fold],
+    [elements] and [choose] run on it. The result for [0] is
+    unspecified. *)
+val lowest_bit : int -> int
+
 val add : t -> int -> unit
 val remove : t -> int -> unit
 val mem : t -> int -> bool

@@ -1,9 +1,11 @@
 (* The simulation refinement as it stood before the seeded, slice-based
-   loop: every row starts full (cut by its memberships), the worklist
-   holds every state, and each step ORs one n-bit predecessor bitset per
-   member of the popped row. It computes the same greatest fixpoint by a
-   different route, so the tests compare the library's rows with these
-   row for row. Everything here goes through the public [Csr] and
+   loop, and the Simcache key as it stood before it was read off the CSR
+   table. The refinement starts every row full (cut by its
+   memberships), the worklist holds every state, and each step ORs one
+   n-bit predecessor bitset per member of the popped row. It computes
+   the same greatest fixpoint by a different route, so the tests compare
+   the library's rows with these row for row, and the library's key with
+   [fingerprint]. Everything here goes through the public [Csr] and
    [Bitset] API. *)
 
 open Rl_prelude
@@ -80,3 +82,31 @@ let refine ~(delta : Csr.t option) ~(rdelta : Csr.t option) ~states:n
     rows
   end
 
+
+(* The key taken over the list view: state and symbol counts, every
+   membership set in order, and every successor list sorted, each
+   written as a count followed by its elements (32-bit little-endian
+   ints). *)
+let fingerprint ~states ~symbols ~memberships ~succ =
+  let buf = Buffer.create 1024 in
+  let int i = Buffer.add_int32_le buf (Int32.of_int i) in
+  int states;
+  int symbols;
+  int (List.length memberships);
+  List.iter
+    (fun m ->
+      int (Bitset.cardinal m);
+      Bitset.iter int m)
+    memberships;
+  for q = 0 to states - 1 do
+    for a = 0 to symbols - 1 do
+      let l =
+        match succ q a with
+        | ([] | [ _ ]) as l -> l
+        | l -> List.sort Int.compare l
+      in
+      int (List.length l);
+      List.iter int l
+    done
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))

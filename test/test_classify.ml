@@ -38,11 +38,16 @@ let test_universal () =
    complementation, which is exponential by design *)
 let gen_formula2 = Helpers.gen_formula_over ~max_size:2 [ "a"; "b" ] ~negations:true
 let gen_lasso2 = Helpers.gen_lasso ~letters:2 ~stem_max:3 ~cycle_max:3
+let print_formula = Formula.to_string
+
+let print_lasso x =
+  Format.asprintf "%a·(%a)^ω" (Word.pp ab) (Lasso.stem x) (Word.pp ab)
+    (Lasso.cycle x)
 
 let prop_decompose_intersection =
   (* P = safety_part ∩ liveness_part, checked on sample lassos *)
   QCheck2.Test.make ~name:"decomposition: P = safety ∩ liveness (on lassos)"
-    ~count:200
+    ~count:200 ~print:(QCheck2.Print.pair print_formula print_lasso)
     QCheck2.Gen.(pair gen_formula2 gen_lasso2)
     (fun (f, x) ->
       let b = buchi_of (Formula.to_string f) in
@@ -55,7 +60,7 @@ let prop_decompose_intersection =
 
 let prop_decompose_parts_classified =
   QCheck2.Test.make ~name:"decomposition parts are safety resp. liveness"
-    ~count:60 gen_formula2
+    ~count:60 ~print:print_formula gen_formula2
     (fun f ->
       let b = buchi_of (Formula.to_string f) in
       Buchi.states b > 4
@@ -67,7 +72,7 @@ let prop_decompose_parts_classified =
 let prop_remark1_liveness =
   (* Remark 1: over Σ^ω, relative liveness = absolute liveness *)
   QCheck2.Test.make ~name:"Remark 1: RL over Σ^ω = absolute liveness" ~count:80
-    gen_formula2
+    ~print:print_formula gen_formula2
     (fun f ->
       let b = buchi_of (Formula.to_string f) in
       let universe = Classify.universal_buchi ab in
@@ -79,7 +84,7 @@ let prop_remark1_liveness =
 
 let prop_remark1_safety =
   QCheck2.Test.make ~name:"Remark 1: RS over Σ^ω = absolute safety" ~count:40
-    gen_formula2
+    ~print:print_formula gen_formula2
     (fun f ->
       let b = buchi_of (Formula.to_string f) in
       Buchi.states b > 5
@@ -104,7 +109,7 @@ let decompose_safety_leg f =
 
 let prop_decompose_safety_leg =
   QCheck2.Test.make ~name:"decompose's safety leg = Classify.is_safety"
-    ~count:400
+    ~count:400 ~print:print_formula
     (Helpers.gen_formula_over ~max_size:3 [ "a"; "b"; "c" ] ~negations:true)
     (fun f ->
       let b =

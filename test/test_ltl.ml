@@ -207,6 +207,26 @@ let prop_translation_wide_closure =
       Buchi.member b x = sat x f
       && Buchi.states b = Buchi.states (Translate.to_buchi ~alphabet:ab ~labeling:lam f))
 
+(* The word-array tableau against the bitset tableau it replaced
+   ([Translate_oracle]): the same states, initial list, accepting set
+   and successor lists, in order. [f ∨ X^k false] widens the closure past
+   one machine word (k = 64) or two (k = 127) without changing [f]'s
+   language. *)
+let prop_translation_matches_bitset_tableau =
+  QCheck2.Test.make ~name:"to_buchi = the bitset tableau, structurally"
+    ~count:300 ~long_factor:20 ~print:Formula.to_string
+    QCheck2.Gen.(
+      pair gen_formula (oneofl [ 0; 64; 127 ]) >|= fun (f, k) ->
+      let rec pad k g = if k = 0 then g else pad (k - 1) (Formula.Next g) in
+      if k = 0 then f else Formula.Or (f, pad k Formula.False))
+    (fun f ->
+      List.for_all
+        (fun g ->
+          Buchi_oracle.same_structure
+            (Translate.to_buchi ~alphabet:ab ~labeling:lam g)
+            (Translate_oracle.to_buchi ~alphabet:ab ~labeling:lam g))
+        [ f; Formula.not_ f ])
+
 let test_translation_units () =
   let b = Translate.to_buchi ~alphabet:ab ~labeling:lam (parse "[]<> a") in
   Alcotest.(check bool) "(ab)^ω ⊨ □◇a" true (Buchi.member b (lasso [] [ "a"; "b" ]));
@@ -584,6 +604,7 @@ let qsuite =
       prop_translation_matches_semantics;
       prop_translation_neg_is_complement;
       prop_translation_wide_closure;
+      prop_translation_matches_bitset_tableau;
       prop_sigma_normal_form;
       prop_lemma_7_5_weak;
       prop_lemma_7_5_strong;

@@ -89,6 +89,85 @@ let test_bitset_word_layout () =
     w;
   Alcotest.(check int) "popcount = cardinal" (Bitset.cardinal s) !bits
 
+(* Members at the word edges: [isz - 1] is the top bit of word 0, the
+   OCaml sign bit, so a word holding it alone equals [min_int]; [isz]
+   opens word 1, [2 * isz - 1] tops it and [2 * isz] opens word 2 (62,
+   63, 125 and 126 on 64-bit hosts). *)
+let test_bitset_word_edges () =
+  let isz = Sys.int_size in
+  for b = 0 to isz - 1 do
+    Alcotest.(check int) (Printf.sprintf "lowest_bit (1 lsl %d)" b) b
+      (Bitset.lowest_bit (1 lsl b));
+    Alcotest.(check int) (Printf.sprintf "lowest_bit (-1 lsl %d)" b) b
+      (Bitset.lowest_bit (-1 lsl b))
+  done;
+  let top = Bitset.of_list (isz + 1) [ isz - 1 ] in
+  Alcotest.(check int) "top bit alone is min_int" min_int
+    (Bitset.unsafe_words top).(0);
+  Alcotest.(check int) "choose the top bit" (isz - 1) (Bitset.choose top);
+  Alcotest.(check (list int)) "elements of the top bit" [ isz - 1 ]
+    (Bitset.elements top);
+  Bitset.remove top (isz - 1);
+  Alcotest.(check bool) "empty again" true (Bitset.is_empty top);
+  let edges = [ isz - 1; isz; (2 * isz) - 1; 2 * isz ] in
+  let s = Bitset.of_list ((2 * isz) + 1) edges in
+  Alcotest.(check (list int)) "elements" edges (Bitset.elements s);
+  Alcotest.(check (list int)) "fold" (List.rev edges)
+    (Bitset.fold (fun i acc -> i :: acc) s []);
+  let seen = ref [] in
+  Bitset.iter (fun i -> seen := i :: !seen) s;
+  Alcotest.(check (list int)) "iter" edges (List.rev !seen);
+  Alcotest.(check int) "cardinal" 4 (Bitset.cardinal s);
+  Alcotest.(check int) "choose" (isz - 1) (Bitset.choose s);
+  List.iter
+    (fun i ->
+      Bitset.remove s i;
+      Alcotest.(check bool) (Printf.sprintf "is_empty without %d" i)
+        (i = 2 * isz) (Bitset.is_empty s);
+      if i < 2 * isz then
+        Alcotest.(check int) (Printf.sprintf "choose without %d" i)
+          (List.find (fun j -> j > i) edges) (Bitset.choose s))
+    edges;
+  Alcotest.check_raises "choose of the empty set" Not_found (fun () ->
+      ignore (Bitset.choose s))
+
+(* The bit iterators against a [mem] scan of every element below the
+   capacity, over capacities 0-200 (up to four words), with the word
+   edges drawn often. *)
+let prop_bitset_iterators_match_mem =
+  QCheck2.Test.make ~name:"bitset iterators agree with a mem scan" ~count:500
+    ~print:(fun (cap, xs) ->
+      Printf.sprintf "capacity %d, members [%s]" cap
+        (String.concat "; " (List.map string_of_int xs)))
+    QCheck2.Gen.(
+      let* cap = 0 -- 200 in
+      let isz = Sys.int_size in
+      let edges =
+        List.filter (fun i -> i < cap)
+          [ 0; isz - 1; isz; (2 * isz) - 1; 2 * isz; (3 * isz) - 1; cap - 1 ]
+      in
+      let+ xs =
+        if cap = 0 then return []
+        else
+          list_size (0 -- 40)
+            (frequency [ (3, 0 -- (cap - 1)); (1, oneofl edges) ])
+      in
+      (cap, xs))
+    (fun (cap, xs) ->
+      let s = Bitset.of_list cap xs in
+      let scan = List.filter (Bitset.mem s) (List.init cap Fun.id) in
+      let seen = ref [] in
+      Bitset.iter (fun i -> seen := i :: !seen) s;
+      Bitset.elements s = scan
+      && List.rev !seen = scan
+      && Bitset.fold (fun i acc -> i :: acc) s [] = List.rev scan
+      && Bitset.cardinal s = List.length scan
+      && Bitset.is_empty s = (scan = [])
+      &&
+      match scan with
+      | [] -> ( match Bitset.choose s with _ -> false | exception Not_found -> true)
+      | x :: _ -> Bitset.choose s = x)
+
 let prop_bitset_setops_model =
   (* the in-place set operations against the sorted-list model — these
      are the exact primitives the frontier loops OR/AND over raw words *)
@@ -505,6 +584,7 @@ let qsuite =
     [
       prop_bitset_model;
       prop_bitset_setops_model;
+      prop_bitset_iterators_match_mem;
       prop_csr_of_lists_eq_of_fn;
       prop_csr_model;
       prop_csr_transpose;
@@ -524,6 +604,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_bitset_bounds;
           Alcotest.test_case "set operations" `Quick test_bitset_setops;
           Alcotest.test_case "word layout" `Quick test_bitset_word_layout;
+          Alcotest.test_case "word edges" `Quick test_bitset_word_edges;
         ] );
       ( "csr",
         [

@@ -259,7 +259,8 @@ let prop_of_view_matches_oracle =
     ~print:print_view gen_view (fun (states, symbols, memberships, succ) ->
       let succ q a = succ.(q).(a) in
       let po =
-        Preorder.of_view ~cache:false ~states ~symbols ~memberships ~succ ()
+        Preorder.of_view ~cache:false ~memberships
+          (Rl_prelude.Csr.of_fn ~states ~symbols succ)
       in
       let oracle =
         Preorder_oracle.refine ~delta:None ~rdelta:None ~states ~symbols
@@ -270,6 +271,22 @@ let prop_of_view_matches_oracle =
            (Array.mapi
               (fun q row -> Bitset.equal (Preorder.simulators po q) row)
               oracle))
+
+(* The Simcache key is read off the CSR table; the list fingerprint it
+   replaced must give the same digest, whatever order the table lists a
+   cell's successors in. *)
+let prop_fingerprint_matches_list_key =
+  QCheck2.Test.make ~name:"CSR fingerprint = the list fingerprint" ~count:500
+    ~print:print_view gen_view (fun (states, symbols, memberships, succ) ->
+      let key =
+        Preorder_oracle.fingerprint ~states ~symbols ~memberships
+          ~succ:(fun q a -> succ.(q).(a))
+      in
+      let csr succ = Rl_prelude.Csr.of_fn ~states ~symbols succ in
+      Preorder.fingerprint ~memberships (csr (fun q a -> succ.(q).(a))) = key
+      && Preorder.fingerprint ~memberships
+           (csr (fun q a -> List.rev succ.(q).(a)))
+         = key)
 
 (* --- (b)/(c) reduction-invariant verdicts, witnesses replay --- *)
 
@@ -372,6 +389,7 @@ let () =
         [
           qcheck prop_forward_is_simulation;
           qcheck prop_of_view_matches_oracle;
+          qcheck prop_fingerprint_matches_list_key;
           qcheck prop_reduce_preserves_language;
         ] );
       ( "reduction-invariance",
